@@ -37,7 +37,7 @@ from .errors import (
     NotFittedError,
     ShapeError,
 )
-from .graph import Graph, disjoint_union, membership_from_offsets, normalized_adjacency
+from .graph import Adjacency, Graph, disjoint_union, membership_from_offsets
 from .models import GNNModel, LinearHead, classifier_forward, model_forward, readout
 from .optim import Adam
 from .pretrain import (
@@ -49,12 +49,7 @@ from .pretrain import (
     augment_graph,
     ntxent_loss,
 )
-from .prompts import (
-    EdgePromptParams,
-    EdgePromptPlusParams,
-    NodePromptParams,
-    materialize_edgeprompt,
-)
+from .prompts import EdgePromptPlusParams, NodePromptParams
 from .tensor import Tape, Tensor, finite_difference_gradient
 from .tuning import METHODS, PromptTuner, evaluate_accuracy
 from . import theory

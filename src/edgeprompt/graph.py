@@ -9,11 +9,9 @@ construction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 
 class Graph:
@@ -67,14 +65,13 @@ class Graph:
         self.csr_owners = np.repeat(np.arange(num_nodes, dtype=np.int64), counts)
         self.features = feats
         self.num_edges = m
-        self._target_order = None
+        self._adjacency: dict[str, Adjacency] = {}
 
-    @property
-    def csr_target_order(self) -> np.ndarray:
-        """Cached stable argsort of csr_targets (reused by backward scatters)."""
-        if self._target_order is None:
-            self._target_order = np.argsort(self.csr_targets, kind="stable")
-        return self._target_order
+    def adjacency(self, kind: str) -> "Adjacency":
+        """The cached message-passing operator for model kind 'gcn' or 'gin'."""
+        if kind not in self._adjacency:
+            self._adjacency[kind] = Adjacency(self, kind)
+        return self._adjacency[kind]
 
     @property
     def num_directed_edges(self) -> int:
@@ -103,32 +100,37 @@ class Graph:
         return a
 
 
-@dataclass
-class NormalizedAdjacency:
-    """Per-CSR-entry aggregation coefficients, plus self coefficients.
+class Adjacency:
+    """The message-passing operator of one model kind over a graph's entries.
 
-    With self-loops enabled these are the entries of
-    D̃^{-1/2} (A + I) D̃^{-1/2}: entry (i, j) gets 1/sqrt((d_i+1)(d_j+1))
-    and the self term 1/(d_i+1).  Without self-loops the shift is 0 and
-    ``self_coeffs`` is None.
+    Entry k sends from ``targets[k]`` into ``owners[k]`` with weight
+    ``coeffs[k]``: 1/sqrt((d_i+1)(d_j+1)) for ``"gcn"``, whose self-loop
+    weights 1/(d_i+1) are ``self_coeffs``, and 1 for ``"gin"``.  Owners
+    are sorted; ``rows`` (nodes with entries) and ``starts`` (their first
+    entries) are the layout ``tensor.propagate`` and ``edge_sum`` reduce with.
     """
 
-    entry_coeffs: np.ndarray
-    self_coeffs: np.ndarray | None
+    def __init__(self, g: "Graph", kind: str):
+        if kind not in ("gcn", "gin"):
+            raise ConfigError(f"adjacency kind must be 'gcn' or 'gin', got {kind!r}")
+        self.num_nodes = g.num_nodes
+        self.owners = g.csr_owners
+        self.targets = g.csr_targets
+        self.rows = np.flatnonzero(np.diff(g.csr_offsets))
+        self.starts = g.csr_offsets[self.rows]
+        self.coeffs, self.self_coeffs = np.ones(self.owners.shape[0]), None
+        if kind == "gcn":
+            inv_sqrt = 1.0 / np.sqrt(g.degrees() + 1.0)
+            self.coeffs = inv_sqrt[self.owners] * inv_sqrt[self.targets]
+            self.self_coeffs = inv_sqrt * inv_sqrt
+        self._target_order = None
 
-
-def normalized_adjacency(g: Graph, add_self_loops: bool = True) -> NormalizedAdjacency:
-    deg = g.degrees().astype(np.float64)
-    shift = 1.0 if add_self_loops else 0.0
-    d = deg + shift
-    inv_sqrt = np.zeros_like(d)
-    nz = d > 0
-    inv_sqrt[nz] = 1.0 / np.sqrt(d[nz])
-    entry = inv_sqrt[g.csr_owners] * inv_sqrt[g.csr_targets]
-    self_coeffs = None
-    if add_self_loops:
-        self_coeffs = inv_sqrt * inv_sqrt
-    return NormalizedAdjacency(entry_coeffs=entry, self_coeffs=self_coeffs)
+    @property
+    def target_order(self) -> np.ndarray:
+        """Cached stable argsort of ``targets`` (reused by backward scatters)."""
+        if self._target_order is None:
+            self._target_order = np.argsort(self.targets, kind="stable")
+        return self._target_order
 
 
 def disjoint_union(graphs: list[Graph]) -> tuple[Graph, np.ndarray]:

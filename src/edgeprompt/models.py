@@ -1,10 +1,11 @@
 """GCN and GIN backbones with an edge-prompt injection point.
 
-Prompts enter aggregation as ``coeff * (h_j + e_ij)`` per directed CSR
-entry: the prompt row is added to the neighbor representation before the
-aggregation coefficient applies.  Self contributions (the GCN self-loop
-and the GIN ``(1+eps) h_i`` term) never carry a prompt; prompts exist
-only for stored edges.
+Edge prompts enter aggregation as ``c_ij (h_j + e_ij)`` per directed
+entry (i <- j), computed as sum_j c_ij (h_j + e_ij) = (Â h)_i + sum_j
+c_ij e_ij: one ``propagate`` plus an N x D prompt term per layer (from
+``prompts.EdgePromptPlusParams.aggregate``), so no per-edge prompt row
+exists.  Self terms (the GCN self-loop, the GIN ``(1+eps) h_i``) never
+carry a prompt.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .graph import Graph, NormalizedAdjacency, normalized_adjacency
+from .graph import Adjacency, Graph
 from . import tensor as T
 from .tensor import Tensor
 
@@ -139,60 +140,33 @@ class GNNModel:
         return clone
 
 
-def _check_prompts(prompts: Tensor | None, g: Graph, d_in: int) -> None:
-    if prompts is None:
-        return
-    if prompts.shape != (g.num_directed_edges, d_in):
-        raise ShapeError(
-            f"prompt rows {prompts.shape} vs expected ({g.num_directed_edges}, {d_in})"
-        )
-
-
-def gcn_layer_forward(layer: GCNLayer, h: Tensor, g: Graph,
-                      norm: NormalizedAdjacency, prompts: Tensor | None = None) -> Tensor:
-    """One GCN layer over CSR entries.
-
-    Message for entry (i <- j) is coeff_ij * (h_j + e_ij); the self-loop
-    message coeff_ii * h_i carries no prompt.
-    """
-    _check_prompts(prompts, g, h.shape[1])
-    msgs = T.gather_rows(h, g.csr_targets, scatter_order=g.csr_target_order)
-    if prompts is not None:
-        msgs = T.add(msgs, prompts)
-    msgs = T.scale_rows(msgs, norm.entry_coeffs)
-    agg = T.scatter_add_rows(msgs, g.csr_owners, g.num_nodes)
-    if norm.self_coeffs is not None:
-        agg = T.add(agg, T.scale_rows(h, norm.self_coeffs))
+def gcn_layer_forward(layer: GCNLayer, h: Tensor, adj: Adjacency,
+                      prompt_term: Tensor | None = None) -> Tensor:
+    """One GCN layer: Â h plus the self-loop term and the prompt term."""
+    agg = T.add(T.propagate(h, adj), T.scale_rows(h, adj.self_coeffs))
+    if prompt_term is not None:
+        agg = T.add(agg, prompt_term)
     out = T.add_row(T.matmul(agg, layer.weight), layer.bias)
     if layer.activation:
         out = T.relu(out)
     return out
 
 
-def gin_aggregate(h: Tensor, g: Graph, epsilon: float,
-                  prompts: Tensor | None = None) -> Tensor:
-    """Neighbor sum of (h_j + e_ij) plus (1+eps) h_i, before the MLP."""
-    _check_prompts(prompts, g, h.shape[1])
-    msgs = T.gather_rows(h, g.csr_targets, scatter_order=g.csr_target_order)
-    if prompts is not None:
-        msgs = T.add(msgs, prompts)
-    agg = T.scatter_add_rows(msgs, g.csr_owners, g.num_nodes)
-    return T.add(agg, T.scale(h, 1.0 + epsilon))
-
-
-def gin_layer_forward(layer: GINLayer, h: Tensor, g: Graph,
-                      prompts: Tensor | None = None) -> Tensor:
-    return layer.mlp(gin_aggregate(h, g, layer.epsilon, prompts))
+def gin_layer_forward(layer: GINLayer, h: Tensor, adj: Adjacency,
+                      prompt_term: Tensor | None = None) -> Tensor:
+    """One GIN layer: the MLP of A h + (1+eps) h plus the prompt term."""
+    agg = T.add(T.propagate(h, adj), T.scale(h, 1.0 + layer.epsilon))
+    if prompt_term is not None:
+        agg = T.add(agg, prompt_term)
+    return layer.mlp(agg)
 
 
 def model_forward(model: GNNModel, g: Graph, prompts=None,
                   features: Tensor | None = None) -> Tensor:
     """Run all layers; h^(0) is the graph's feature matrix.
 
-    ``prompts`` may be None, a per-layer sequence of materialized
-    E_dir x D_{l-1} tensors, or a callable ``(layer_index, h_prev) ->
-    Tensor | None`` for prompt families whose rows depend on the incoming
-    representations.  ``features`` substitutes h^(0) (used by the
+    ``prompts`` is None or an ``EdgePromptPlusParams`` with one anchor
+    set per layer.  ``features`` substitutes h^(0) (used by the
     node-feature prompt baselines).
     """
     h = Tensor(g.features) if features is None else features
@@ -200,23 +174,15 @@ def model_forward(model: GNNModel, g: Graph, prompts=None,
         raise ShapeError(
             f"input features {h.shape} vs expected ({g.num_nodes}, {model.input_dim})"
         )
-    provider = prompts
-    if prompts is None:
-        provider = lambda l, h: None
-    elif not callable(prompts):
-        bundle = list(prompts)
-        if len(bundle) != model.num_layers:
-            raise ShapeError(
-                f"bundle has {len(bundle)} layers, model has {model.num_layers}"
-            )
-        provider = lambda l, h: bundle[l]
-    norm = normalized_adjacency(g, add_self_loops=True) if model.kind == GCN else None
+    if prompts is not None and len(prompts.anchors) != model.num_layers:
+        raise ShapeError(
+            f"prompts have {len(prompts.anchors)} layers, model has {model.num_layers}"
+        )
+    adj = g.adjacency(model.kind)
+    layer_forward = gcn_layer_forward if model.kind == GCN else gin_layer_forward
     for l, layer in enumerate(model.layers):
-        e = provider(l, h)
-        if model.kind == GCN:
-            h = gcn_layer_forward(layer, h, g, norm, e)
-        else:
-            h = gin_layer_forward(layer, h, g, e)
+        term = None if prompts is None else prompts.aggregate(h, adj, l)
+        h = layer_forward(layer, h, adj, term)
     return h
 
 

@@ -6,10 +6,12 @@ features.  All prompt vectors initialize to zero so that step 0 of any
 tuning run coincides exactly with the unprompted model; only the
 attention score weights start at small random values.
 
-EdgePrompt+ forms each entry's prompt as a softmax-weighted average of
-M anchor vectors, with logits LeakyReLU([h_i || h_j] W) computed from the
-representations entering the layer, so the two directions of an
-undirected edge score independently and may receive different prompts.
+EdgePrompt+ gives entry (i <- j) the prompt e_ij = S_ij P, a mix of the
+layer's M anchors P by scores S_ij = softmax(LeakyReLU([h_i || h_j] W)),
+so the two directions of an edge may differ.  EdgePrompt is the unscored
+case, one anchor and S = 1.  Layers take the prompts summed per node,
+sum_j c_ij e_ij = (sum_j c_ij S_ij) P: scores are summed (N x M) before
+they meet the anchors, so no E x D prompt tensor exists.
 """
 
 from __future__ import annotations
@@ -17,60 +19,39 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .graph import Graph
+from .graph import Adjacency
 from . import tensor as T
 from .tensor import Tensor
 
 
-class EdgePromptParams:
-    """One shared prompt vector per layer, broadcast to every edge."""
-
-    method = "edgeprompt"
-
-    def __init__(self, vectors: list[Tensor]):
-        self.vectors = vectors
-
-    @classmethod
-    def create(cls, input_dims) -> "EdgePromptParams":
-        return cls([Tensor.zeros(1, int(d)) for d in input_dims])
-
-    def trainable(self) -> list[Tensor]:
-        return list(self.vectors)
-
-    def named_tensors(self) -> list[tuple[str, Tensor]]:
-        return [(f"prompt.{l}.vector", v) for l, v in enumerate(self.vectors)]
-
-    def provider(self, g: Graph):
-        ones = [Tensor.ones(g.num_directed_edges, 1) for _ in self.vectors]
-
-        def materialize(l: int, h_prev: Tensor) -> Tensor:
-            return T.matmul(ones[l], self.vectors[l])
-
-        return materialize
-
-
 class EdgePromptPlusParams:
-    """Per-layer anchor sets with attention-style mixing scores."""
+    """Per-layer anchor sets, mixed per entry by attention scores; without
+    ``score_weights``, EdgePrompt's one shared vector per layer."""
 
-    method = "edgeprompt+"
-
-    def __init__(self, anchors: list[Tensor], score_weights: list[Tensor],
+    def __init__(self, anchors: list[Tensor], score_weights: list[Tensor] | None = None,
                  leaky_slope: float = 0.2):
-        if len(anchors) != len(score_weights):
+        if score_weights is not None and len(anchors) != len(score_weights):
             raise ShapeError(
                 f"{len(anchors)} anchor sets vs {len(score_weights)} score weights"
             )
-        for l, (p, w) in enumerate(zip(anchors, score_weights)):
+        for l, p in enumerate(anchors):
             m, d = p.shape
             if m < 1:
                 raise ConfigError(f"layer {l}: need at least one anchor prompt")
-            if w.shape != (2 * d, m):
+            if score_weights is not None and score_weights[l].shape != (2 * d, m):
                 raise ShapeError(
-                    f"layer {l}: score weights {w.shape} vs expected ({2 * d}, {m})"
+                    f"layer {l}: score weights {score_weights[l].shape} "
+                    f"vs expected ({2 * d}, {m})"
                 )
         self.anchors = anchors
         self.score_weights = score_weights
         self.leaky_slope = leaky_slope
+        self.method = "edgeprompt" if score_weights is None else "edgeprompt+"
+
+    @classmethod
+    def shared(cls, input_dims) -> "EdgePromptPlusParams":
+        """EdgePrompt: a zero prompt vector per layer, no scores."""
+        return cls([Tensor.zeros(1, int(d)) for d in input_dims])
 
     @classmethod
     def create(cls, input_dims, anchors_per_layer, rng: np.random.Generator,
@@ -90,16 +71,18 @@ class EdgePromptPlusParams:
         return cls(anchors, weights, leaky_slope)
 
     def trainable(self) -> list[Tensor]:
-        return list(self.anchors) + list(self.score_weights)
+        return list(self.anchors) + list(self.score_weights or [])
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
+        if self.score_weights is None:
+            return [(f"prompt.{l}.vector", p) for l, p in enumerate(self.anchors)]
         out = []
         for l, (p, w) in enumerate(zip(self.anchors, self.score_weights)):
             out.append((f"prompt.{l}.anchors", p))
             out.append((f"prompt.{l}.score_weights", w))
         return out
 
-    def scores(self, h_prev: Tensor, g: Graph, layer: int) -> Tensor:
+    def scores(self, h_prev: Tensor, adj: Adjacency, layer: int) -> Tensor:
         """Per-entry mixing weights: Softmax(LeakyReLU([h_i || h_j] W)).
 
         Entry k is the directed pair owners[k] <- targets[k]; h_i is the
@@ -120,20 +103,18 @@ class EdgePromptPlusParams:
         s_own = T.matmul(h_prev, T.slice_rows(w, 0, d))
         s_nbr = T.matmul(h_prev, T.slice_rows(w, d, 2 * d))
         logits = T.add(
-            T.gather_rows(s_own, g.csr_owners),
-            T.gather_rows(s_nbr, g.csr_targets, scatter_order=g.csr_target_order),
+            T.gather_rows(s_own, adj.owners),
+            T.gather_rows(s_nbr, adj.targets, scatter_order=adj.target_order),
         )
         return T.softmax_rows(T.leaky_relu(logits, self.leaky_slope))
 
-    def materialize(self, h_prev: Tensor, g: Graph, layer: int) -> Tensor:
-        """Score-weighted average of the layer's anchors, one row per entry."""
-        return T.matmul(self.scores(h_prev, g, layer), self.anchors[layer])
-
-    def provider(self, g: Graph):
-        def materialize(l: int, h_prev: Tensor) -> Tensor:
-            return self.materialize(h_prev, g, l)
-
-        return materialize
+    def aggregate(self, h_prev: Tensor, adj: Adjacency, layer: int) -> Tensor:
+        """The layer's prompt term per node, sum_j c_ij e_ij (N x D)."""
+        if self.score_weights is None:
+            mix = Tensor.ones(adj.owners.shape[0], 1)
+        else:
+            mix = self.scores(h_prev, adj, layer)
+        return T.matmul(T.edge_sum(mix, adj), self.anchors[layer])
 
 
 class NodePromptParams:
@@ -194,9 +175,3 @@ class NodePromptParams:
             )
         mix = T.softmax_rows(T.matmul(x, self.score_map))
         return T.add(x, T.matmul(mix, self.basis))
-
-
-def materialize_edgeprompt(params: EdgePromptParams, g: Graph) -> list[Tensor]:
-    """The static bundle: every directed entry at layer l gets row p^(l)."""
-    provider = params.provider(g)
-    return [provider(l, None) for l in range(len(params.vectors))]

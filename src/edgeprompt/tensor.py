@@ -41,6 +41,8 @@ __all__ = [
     "mean_all",
     "gather_rows",
     "scatter_add_rows",
+    "propagate",
+    "edge_sum",
     "concat_cols",
     "concat_rows",
     "cross_entropy_with_logits",
@@ -427,6 +429,50 @@ def gather_rows(x: Tensor, indices, scatter_order: np.ndarray | None = None) -> 
         x.data[idx],
         [(x, lambda g: _segment_sum(g, idx, rows, order=scatter_order))],
     )
+
+
+def _owner_sum(entries: np.ndarray, adj, axis: int) -> np.ndarray:
+    """Per-owner sums of the rows (axis 0, E x D) or columns (axis 1, D x E)
+    of ``entries``; columns sum faster once rows are wide."""
+    out = np.zeros((adj.num_nodes, entries.shape[1 - axis]))
+    if adj.starts.size:
+        sums = np.add.reduceat(entries, adj.starts, axis=axis)
+        out[adj.rows] = sums.T if axis else sums
+    return out
+
+
+def propagate(h: Tensor, adj) -> Tensor:
+    """out_i = sum_j c_ij h_j over the entries of a ``graph.Adjacency``.
+
+    The operator is symmetric (c_ij = c_ji), so its backward is the same
+    propagation of the output gradient.
+    """
+    if h.shape[0] != adj.num_nodes:
+        raise ShapeError(f"propagate: {h.shape[0]} rows for {adj.num_nodes} nodes")
+
+    def prop(x):
+        entries_t = np.take(x.T, adj.targets, axis=1)
+        entries_t *= adj.coeffs
+        return _owner_sum(entries_t, adj, axis=1)
+
+    return _emit(prop(h.data), [(h, prop)])
+
+
+def edge_sum(values: Tensor, adj) -> Tensor:
+    """out_i = sum_j c_ij v_ij for one row of ``values`` per entry of ``adj``.
+
+    The backward hands each entry its owner's gradient row times c_ij.
+    """
+    if values.shape[0] != adj.owners.shape[0]:
+        raise ShapeError(f"edge_sum: {values.shape[0]} rows for {adj.owners.shape[0]} entries")
+
+    def pull(g):
+        out = g.take(adj.owners, axis=0)
+        out *= adj.coeffs[:, None]
+        return out
+
+    entries = values.data * adj.coeffs[:, None]
+    return _emit(_owner_sum(entries, adj, axis=0), [(values, pull)])
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:

@@ -11,9 +11,9 @@ such witnesses and verifies the ratio by Monte-Carlo simulation.
 Lab 2 (edge/feature prompt equivalence): for a single-layer GIN with a
 linear transform and sum readout, a feature prompt p̂ added to every node
 equals an edge prompt p = (Deg + N + N*eps)/Deg * p̂ added to every edge.
-The edge side runs through the same CSR aggregation primitives the real
-GIN layer uses; the feature side is computed by dense matrix algebra as
-the independent oracle.
+The edge side runs through the propagate and edge-sum ops of the real
+GIN layer and EdgePrompt; the feature side is computed by dense matrix
+algebra as the independent oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ import numpy as np
 from .data import CSBMParams
 from .errors import ConfigError
 from .graph import Graph
-from .models import gin_aggregate
+from .prompts import EdgePromptPlusParams
+from . import tensor as T
 from .tensor import Tensor
 
 
@@ -233,17 +234,19 @@ def theorem2_equivalence_check(g: Graph, p_hat: np.ndarray, epsilon: float,
                                weight: np.ndarray, coefficient_scale: float = 1.0) -> float:
     """Max-abs gap between sum readouts of the two prompt routes.
 
-    Edge route: p = coeff * p̂ on every edge, aggregated by the GIN CSR
-    primitives, then the linear transform.  Feature route: p̂ added to
-    every node feature, computed densely.  ``coefficient_scale`` != 1
-    deliberately detunes the coefficient (the negative control).
+    Edge route: p = coeff * p̂ on every edge as an EdgePrompt, aggregated
+    like a GIN layer (A x + (1+eps) x plus the prompt term), then the
+    linear transform.  Feature route: p̂ added to every node feature,
+    computed densely.  ``coefficient_scale`` != 1 deliberately detunes
+    the coefficient (the negative control).
     """
     p_hat = np.asarray(p_hat, dtype=np.float64).reshape(1, -1)
     w = np.asarray(weight, dtype=np.float64)
     coeff = lemma1_coefficient(g, epsilon) * coefficient_scale
     x = Tensor(g.features)
-    edge_prompt = Tensor(np.repeat(coeff * p_hat, g.num_directed_edges, axis=0))
-    h_edge = gin_aggregate(x, g, epsilon, prompts=edge_prompt).data @ w
+    adj = g.adjacency("gin")
+    prompt = EdgePromptPlusParams([Tensor(coeff * p_hat)]).aggregate(x, adj, 0)
+    h_edge = T.add(T.add(T.propagate(x, adj), T.scale(x, 1.0 + epsilon)), prompt).data @ w
     a = g.dense_adjacency()
     shifted = a + (1.0 + epsilon) * np.eye(g.num_nodes)
     h_feat = shifted @ (g.features + p_hat) @ w

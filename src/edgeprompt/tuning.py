@@ -18,11 +18,11 @@ import numpy as np
 from .base import BaseEstimator, check_is_fitted, check_positive
 from .checkpoint import Checkpoint, LearnedPrompts, build_model
 from .data import FewShotSplit, LabeledDataset
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .graph import Graph, disjoint_union, membership_from_offsets
 from .models import GNNModel, LinearHead, classifier_forward, model_forward, readout
 from .optim import Adam
-from .prompts import EdgePromptParams, EdgePromptPlusParams, NodePromptParams
+from .prompts import EdgePromptPlusParams, NodePromptParams
 from . import tensor as T
 from .tensor import Tape, Tensor
 
@@ -37,7 +37,7 @@ def prompted_representations(model: GNNModel, g: Graph, prompt_params) -> Tensor
         return model_forward(model, g)
     if isinstance(prompt_params, NodePromptParams):
         return model_forward(model, g, features=prompt_params.apply(Tensor(g.features)))
-    return model_forward(model, g, prompts=prompt_params.provider(g))
+    return model_forward(model, g, prompts=prompt_params)
 
 
 def _graph_logits(model, prompt_params, head, graphs, readout_kind):
@@ -131,21 +131,6 @@ class PromptTuner(BaseEstimator):
             raise ConfigError(f"anchor counts must be >= 1, got {counts}")
         return counts
 
-    def _build_prompts(self, model: GNNModel, task: str, feature_dim: int):
-        prompt_rng = np.random.default_rng([int(self.seed), 0x9201])
-        counts = self._resolve_anchors(task, model.num_layers)
-        if self.method == "classifier-only":
-            return None
-        if self.method == "edgeprompt":
-            return EdgePromptParams.create(model.dims[:-1])
-        if self.method == "edgeprompt+":
-            return EdgePromptPlusParams.create(
-                model.dims[:-1], counts, prompt_rng, leaky_slope=self.leaky_slope
-            )
-        if self.method in ("gpf", "gpf-plus"):
-            return NodePromptParams.create(self.method, feature_dim, counts[0], prompt_rng)
-        raise ConfigError(f"unknown tuning method {self.method!r}; choose from {METHODS}")
-
     def fit(self, dataset: LabeledDataset, split: FewShotSplit) -> "PromptTuner":
         check_positive("epochs", self.epochs)
         check_positive("lr", self.lr)
@@ -167,7 +152,8 @@ class PromptTuner(BaseEstimator):
 
         task = dataset.task
         self.anchors_ = self._resolve_anchors(task, model.num_layers)
-        prompts = self._build_prompts(model, task, dataset.feature_dim)
+        prompt_rng = np.random.default_rng([int(self.seed), 0x9201])
+        prompts = _new_prompts(self.method, model, self.anchors_, prompt_rng, self.leaky_slope)
         head_rng = np.random.default_rng([int(self.seed), 0x4EAD])
         head = LinearHead.create(head_rng, model.output_dim, dataset.num_classes)
 
@@ -258,6 +244,10 @@ class PromptTuner(BaseEstimator):
         tensors = {name: t.data.copy() for name, t in self.prompts_.named_tensors()}
         for name, t in self.head_.parameters():
             tensors[name] = t.data.copy()
+        metadata = {"epochs": int(self.epochs), "lr": self.lr,
+                    "seed": int(self.seed), "num_classes": int(self.num_classes_)}
+        if self.method == "edgeprompt+":
+            metadata["leaky_slope"] = self.leaky_slope
         return LearnedPrompts(
             method=self.method,
             task=self.task_,
@@ -267,25 +257,47 @@ class PromptTuner(BaseEstimator):
             readout=self.readout,
             backbone_digest=self.checkpoint.digest(),
             tensors=tensors,
-            metadata={"epochs": int(self.epochs), "lr": self.lr,
-                      "seed": int(self.seed), "num_classes": int(self.num_classes_)},
+            metadata=metadata,
         )
 
 
+def _new_prompts(method: str, model: GNNModel, counts: list[int],
+                 rng: np.random.Generator, leaky_slope: float):
+    """Freshly initialised prompts of a method (None for classifier-only)."""
+    if method == "classifier-only":
+        return None
+    if method == "edgeprompt":
+        return EdgePromptPlusParams.shared(model.dims[:-1])
+    if method == "edgeprompt+":
+        return EdgePromptPlusParams.create(model.dims[:-1], counts, rng, leaky_slope)
+    if method in ("gpf", "gpf-plus"):
+        return NodePromptParams.create(method, model.input_dim, counts[0], rng)
+    raise ConfigError(f"unknown tuning method {method!r}; choose from {METHODS}")
+
+
 def prompts_from_artifact(lp: LearnedPrompts, model: GNNModel):
-    """Rebuild (prompt params, head) from a learned-prompt file."""
-    tensors = lp.tensors
-    head = LinearHead(Tensor(tensors["head.weight"]), Tensor(tensors["head.bias"]))
-    if lp.method == "edgeprompt":
-        vectors = [Tensor(tensors[f"prompt.{l}.vector"]) for l in range(model.num_layers)]
-        return EdgePromptParams(vectors), head
-    if lp.method == "edgeprompt+":
-        anchors = [Tensor(tensors[f"prompt.{l}.anchors"]) for l in range(model.num_layers)]
-        weights = [Tensor(tensors[f"prompt.{l}.score_weights"]) for l in range(model.num_layers)]
-        return EdgePromptPlusParams(anchors, weights), head
-    if lp.method == "gpf":
-        return NodePromptParams("gpf", vector=Tensor(tensors["prompt.vector"])), head
-    if lp.method == "gpf-plus":
-        return NodePromptParams("gpf-plus", basis=Tensor(tensors["prompt.basis"]),
-                                score_map=Tensor(tensors["prompt.score_map"])), head
-    raise ConfigError(f"unknown method {lp.method!r} in prompt file")
+    """Rebuild (prompt params, head) from a learned-prompt file.
+
+    The file must hold, finite and of the same shape, every tensor that
+    tuning makes for its method, anchor counts and this model; otherwise
+    a ``FormatError`` names the tensor.
+    """
+    slope, counts = lp.metadata.get("leaky_slope", 0.2), lp.anchors
+    if not isinstance(slope, (int, float)) or not 0.0 < slope < 1.0:
+        raise FormatError(f"prompt file leaky_slope {slope!r} is not in (0, 1)")
+    if not (isinstance(counts, list) and len(counts) == model.num_layers
+            and all(isinstance(m, int) and m >= 1 for m in counts)):
+        raise FormatError(f"prompt file anchors {counts!r} do not fit {model.num_layers} layers")
+    prompts = _new_prompts(lp.method, model, counts, np.random.default_rng(0), slope)
+    if prompts is None:
+        raise ConfigError("a classifier-only run has no prompt file")
+    weight = lp.tensors.get("head.weight")
+    classes = 1 if weight is None else weight.shape[1]
+    head = LinearHead(Tensor.zeros(model.output_dim, classes), Tensor.zeros(1, classes))
+    for name, t in prompts.named_tensors() + head.parameters():
+        arr = lp.tensors.get(name)
+        if arr is None or arr.shape != t.shape or not np.isfinite(arr).all():
+            raise FormatError(f"{lp.method} prompt file: tensor {name!r} is missing, "
+                              f"not finite or not of shape {t.shape}")
+        t.data = arr
+    return prompts, head

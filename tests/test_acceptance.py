@@ -47,11 +47,7 @@ from edgeprompt.errors import ConfigError
 from edgeprompt.graph import Graph, disjoint_union, membership_from_offsets
 from edgeprompt.models import GNNModel, LinearHead, classifier_forward, readout
 from edgeprompt.pretrain import GraphCLPretrainer
-from edgeprompt.prompts import (
-    EdgePromptParams,
-    EdgePromptPlusParams,
-    NodePromptParams,
-)
+from edgeprompt.prompts import EdgePromptPlusParams, NodePromptParams
 from edgeprompt.tensor import Tape, Tensor, finite_difference_gradient
 from edgeprompt.theory import (
     csbm_expected_distance,
@@ -110,7 +106,7 @@ def test_criterion_1_full_tuning_loss_gradients(small_node_ds):
     head = LinearHead.create(rng, 4, 2)
 
     families = {
-        "edgeprompt": EdgePromptParams.create(model.dims[:-1]),
+        "edgeprompt": EdgePromptPlusParams.shared(model.dims[:-1]),
         "edgeprompt+": EdgePromptPlusParams.create(model.dims[:-1], 3, rng),
         "gpf": NodePromptParams.create("gpf", 3, 1, rng),
         "gpf-plus": NodePromptParams.create("gpf-plus", 3, 2, rng),
@@ -243,7 +239,7 @@ def test_criterion_4_single_anchor_degeneracy(small_node_ds, small_checkpoint):
     fwd_gap = np.max(np.abs(out_shared - out_plus))
     assert fwd_gap <= 1e-12
     # the learned single anchor and shared vector coincide as well
-    for p_vec, anchor in zip(shared.prompts_.vectors, plus.prompts_.anchors):
+    for p_vec, anchor in zip(shared.prompts_.anchors, plus.prompts_.anchors):
         assert np.max(np.abs(p_vec.data - anchor.data)) <= 1e-12
     announce(4, f"edgeprompt+ with one anchor per layer == edgeprompt "
                 f"(loss-history gap {hist_gap:.1e}, forward gap {fwd_gap:.1e})")

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from edgeprompt.checkpoint import load_checkpoint, serialize_checkpoint
+from edgeprompt.checkpoint import load_checkpoint, load_prompts, save_prompts, serialize_checkpoint
 from edgeprompt.cli import main
 from edgeprompt.data import save_dataset
 
@@ -200,6 +200,19 @@ class TestEvalCommand:
         rc = main(["eval", "--dataset", node_ds_path, "--checkpoint", ckpt_path,
                    "--prompts", str(prompt_path)])
         assert rc == 2
+
+
+    def test_prompt_file_missing_a_tensor_exits_1(self, node_ds_path, ckpt_path,
+                                                  tmp_path, capsys):
+        assert run_tune(node_ds_path, ckpt_path, tmp_path) == 0
+        lp = load_prompts(next(tmp_path.glob("*.prompts")))
+        del lp.tensors["head.bias"]
+        broken = str(tmp_path / "broken.prompts")
+        save_prompts(lp, broken)
+        rc = main(["eval", "--dataset", node_ds_path, "--checkpoint", ckpt_path,
+                   "--prompts", broken])
+        assert rc == 1
+        assert "'head.bias'" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

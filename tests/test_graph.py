@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeprompt.errors import ShapeError
+from edgeprompt.errors import ConfigError, ShapeError
 from edgeprompt.graph import (
     Graph,
     disjoint_union,
     membership_from_offsets,
-    normalized_adjacency,
 )
 
 from conftest import all_edge_subsets, random_graph
@@ -77,20 +76,29 @@ class TestGraphConstruction:
 class TestNormalizedAdjacency:
     def test_single_edge_all_half(self):
         g = Graph(2, [(0, 1)], np.zeros((2, 1)))
-        norm = normalized_adjacency(g, add_self_loops=True)
-        np.testing.assert_allclose(norm.entry_coeffs, [0.5, 0.5])
-        np.testing.assert_allclose(norm.self_coeffs, [0.5, 0.5])
+        adj = g.adjacency("gcn")
+        np.testing.assert_allclose(adj.coeffs, [0.5, 0.5])
+        np.testing.assert_allclose(adj.self_coeffs, [0.5, 0.5])
 
     def test_isolated_node_self_coefficient_one(self):
         g = Graph(3, [(0, 1)], np.zeros((3, 1)))
-        norm = normalized_adjacency(g, add_self_loops=True)
-        assert norm.self_coeffs[2] == pytest.approx(1.0)
+        adj = g.adjacency("gcn")
+        assert adj.self_coeffs[2] == pytest.approx(1.0)
+        np.testing.assert_array_equal(adj.rows, [0, 1])
 
     def test_no_self_loops_variant(self):
+        # the GIN operator: unit weights, self term left to the layer
         g = Graph(2, [(0, 1)], np.zeros((2, 1)))
-        norm = normalized_adjacency(g, add_self_loops=False)
-        np.testing.assert_allclose(norm.entry_coeffs, [1.0, 1.0])
-        assert norm.self_coeffs is None
+        adj = g.adjacency("gin")
+        np.testing.assert_array_equal(adj.coeffs, [1.0, 1.0])
+        assert adj.self_coeffs is None
+
+    def test_built_once_per_graph_and_kind(self):
+        g = Graph(3, [(0, 1), (1, 2)], np.zeros((3, 1)))
+        assert g.adjacency("gcn") is g.adjacency("gcn")
+        assert g.adjacency("gin") is not g.adjacency("gcn")
+        with pytest.raises(ConfigError):
+            g.adjacency("gat")
 
     def _dense_reference(self, g):
         a = g.dense_adjacency() + np.eye(g.num_nodes)
@@ -99,10 +107,10 @@ class TestNormalizedAdjacency:
         return inv[:, None] * a * inv[None, :]
 
     def _reconstruct(self, g):
-        norm = normalized_adjacency(g, add_self_loops=True)
+        adj = g.adjacency("gcn")
         dense = np.zeros((g.num_nodes, g.num_nodes))
-        dense[g.csr_owners, g.csr_targets] = norm.entry_coeffs
-        dense[np.arange(g.num_nodes), np.arange(g.num_nodes)] = norm.self_coeffs
+        dense[adj.owners, adj.targets] = adj.coeffs
+        dense[np.arange(g.num_nodes), np.arange(g.num_nodes)] = adj.self_coeffs
         return dense
 
     def test_random_6_node_matches_dense_formula(self, rng):

@@ -5,17 +5,18 @@ from hypothesis import strategies as st
 
 import edgeprompt.tensor as T
 from edgeprompt.errors import ShapeError
-from edgeprompt.graph import Graph, normalized_adjacency
+from edgeprompt.graph import Graph
 from edgeprompt.models import (
+    GINLayer,
     GNNModel,
     LinearHead,
     classifier_forward,
     gcn_layer_forward,
-    gin_aggregate,
     gin_layer_forward,
     model_forward,
     readout,
 )
+from edgeprompt.prompts import EdgePromptPlusParams
 from edgeprompt.tensor import Tape, Tensor, finite_difference_gradient
 
 from conftest import all_edge_subsets, random_connected_graph, random_graph, rel_err
@@ -51,11 +52,11 @@ class TestGCNLayer:
     def test_zero_prompts_equal_no_prompts(self, rng):
         g = random_connected_graph(rng, 6, feature_dim=3)
         model = GNNModel.create("gcn", (3, 4), seed=0)
-        norm = normalized_adjacency(g)
+        adj = g.adjacency("gcn")
         h = Tensor(g.features)
-        plain = gcn_layer_forward(model.layers[0], h, g, norm)
-        zeros = Tensor(np.zeros((g.num_directed_edges, 3)))
-        prompted = gcn_layer_forward(model.layers[0], h, g, norm, zeros)
+        plain = gcn_layer_forward(model.layers[0], h, adj)
+        zeros = T.edge_sum(Tensor(np.zeros((g.num_directed_edges, 3))), adj)
+        prompted = gcn_layer_forward(model.layers[0], h, adj, zeros)
         np.testing.assert_array_equal(plain.data, prompted.data)
 
     def test_two_node_hand_computation(self):
@@ -67,9 +68,9 @@ class TestGCNLayer:
         layer.weight = Tensor(np.eye(2))
         layer.bias = Tensor(np.zeros((1, 2)))
         layer.activation = False
-        norm = normalized_adjacency(g)
-        prompts = Tensor(np.ones((2, 2)))
-        out = gcn_layer_forward(layer, Tensor(g.features), g, norm, prompts)
+        adj = g.adjacency("gcn")
+        prompts = T.edge_sum(Tensor(np.ones((2, 2))), adj)
+        out = gcn_layer_forward(layer, Tensor(g.features), adj, prompts)
         expected0 = 0.5 * g.features[0] + 0.5 * (g.features[1] + 1.0)
         expected1 = 0.5 * g.features[1] + 0.5 * (g.features[0] + 1.0)
         np.testing.assert_allclose(out.data, [expected0, expected1], atol=1e-15)
@@ -77,10 +78,12 @@ class TestGCNLayer:
     def test_prompt_row_count_checked(self, rng):
         g = random_connected_graph(rng, 4, feature_dim=2)
         model = GNNModel.create("gcn", (2, 2), seed=0)
+        adj = g.adjacency("gcn")
         with pytest.raises(ShapeError):
-            gcn_layer_forward(model.layers[0], Tensor(g.features), g,
-                              normalized_adjacency(g),
-                              Tensor(np.zeros((g.num_directed_edges + 1, 2))))
+            T.edge_sum(Tensor(np.zeros((g.num_directed_edges + 1, 2))), adj)
+        with pytest.raises(ShapeError):
+            gcn_layer_forward(model.layers[0], Tensor(g.features), adj,
+                              Tensor(np.zeros((g.num_nodes + 1, 2))))
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
     @settings(max_examples=30, deadline=None)
@@ -93,8 +96,9 @@ class TestGCNLayer:
         model = GNNModel.create("gcn", (3, 2), seed=0)
         layer = model.layers[0]
         layer.weight, layer.bias, layer.activation = Tensor(w), Tensor(b), True
-        out = gcn_layer_forward(layer, Tensor(g.features), g,
-                                normalized_adjacency(g), Tensor(prompts))
+        adj = g.adjacency("gcn")
+        out = gcn_layer_forward(layer, Tensor(g.features), adj,
+                                T.edge_sum(Tensor(prompts), adj))
         ref = dense_gcn_reference(g, g.features, w, b, prompts, activation=True)
         np.testing.assert_allclose(out.data, ref, atol=1e-12)
 
@@ -103,21 +107,21 @@ class TestGINLayer:
     def test_isolated_node_is_mlp_of_features(self):
         g = Graph(1, [], np.array([[0.3, -0.7]]))
         model = GNNModel.create("gin", (2, 3), seed=1)
-        out = gin_layer_forward(model.layers[0], Tensor(g.features), g)
+        out = gin_layer_forward(model.layers[0], Tensor(g.features), g.adjacency("gin"))
         expected = model.layers[0].mlp(Tensor(g.features)).data
         np.testing.assert_allclose(out.data, expected, atol=1e-15)
 
     def test_shared_prompt_adds_degree_times_prompt(self, rng):
-        # linear route: aggregate with shared prompt p equals plain
-        # aggregate + deg_i * p, exactly
+        # the GIN prompt term of a shared prompt p is deg_i * p, whether p
+        # sits on every entry or is the one anchor of an EdgePrompt
         g = random_connected_graph(rng, 6, feature_dim=3)
+        adj = g.adjacency("gin")
         p = rng.uniform(-1, 1, (1, 3))
-        h = Tensor(g.features)
-        plain = gin_aggregate(h, g, epsilon=0.0)
-        prompts = Tensor(np.repeat(p, g.num_directed_edges, axis=0))
-        prompted = gin_aggregate(h, g, epsilon=0.0, prompts=prompts)
+        per_entry = T.edge_sum(Tensor(np.repeat(p, g.num_directed_edges, axis=0)), adj)
+        shared = EdgePromptPlusParams([Tensor(p)]).aggregate(Tensor(g.features), adj, 0)
         deg = g.degrees().astype(float)[:, None]
-        np.testing.assert_allclose(prompted.data, plain.data + deg * p, atol=1e-12)
+        np.testing.assert_allclose(per_entry.data, deg * p, atol=1e-12)
+        np.testing.assert_array_equal(shared.data, deg * p)
 
     def test_linear_transform_identity_with_weight(self, rng):
         # (plain + [deg_i] p) W == prompted aggregate @ W to 1e-10
@@ -125,10 +129,11 @@ class TestGINLayer:
         p = rng.uniform(-1, 1, (1, 2))
         w = rng.uniform(-1, 1, (2, 4))
         h = Tensor(g.features)
-        prompts = Tensor(np.repeat(p, g.num_directed_edges, axis=0))
-        lhs = gin_aggregate(h, g, 0.0, prompts).data @ w
+        adj = g.adjacency("gin")
+        prompts = T.edge_sum(Tensor(np.repeat(p, g.num_directed_edges, axis=0)), adj)
+        lhs = T.add(T.propagate(h, adj), prompts).data @ w
         deg = g.degrees().astype(float)[:, None]
-        rhs = gin_aggregate(h, g, 0.0).data @ w + (deg * p) @ w
+        rhs = T.propagate(h, adj).data @ w + (deg * p) @ w
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
@@ -138,9 +143,12 @@ class TestGINLayer:
         g = random_graph(r, n, feature_dim=2)
         prompts = r.uniform(-1, 1, (g.num_directed_edges, 2))
         eps = float(r.uniform(0, 1))
-        out = gin_aggregate(Tensor(g.features), g, eps, Tensor(prompts))
+        layer = GINLayer.create(r, 2, 3, epsilon=eps)
+        adj = g.adjacency("gin")
+        out = gin_layer_forward(layer, Tensor(g.features), adj,
+                                T.edge_sum(Tensor(prompts), adj))
         ref = dense_gin_aggregate_reference(g, g.features, eps, prompts)
-        np.testing.assert_allclose(out.data, ref, atol=1e-12)
+        np.testing.assert_allclose(out.data, layer.mlp(Tensor(ref)).data, atol=1e-12)
 
 
 class TestModelForward:
@@ -148,8 +156,8 @@ class TestModelForward:
         g = random_connected_graph(rng, 5, feature_dim=3)
         model = GNNModel.create("gcn", (3, 4), seed=2)
         via_model = model_forward(model, g)
-        direct = gcn_layer_forward(model.layers[0], Tensor(g.features), g,
-                                   normalized_adjacency(g))
+        direct = gcn_layer_forward(model.layers[0], Tensor(g.features),
+                                   g.adjacency("gcn"))
         np.testing.assert_array_equal(via_model.data, direct.data)
 
     def test_deterministic(self, rng):
@@ -195,7 +203,7 @@ class TestModelForward:
         g = random_connected_graph(rng, 4, feature_dim=2)
         model = GNNModel.create("gcn", (2, 3, 3), seed=0)
         with pytest.raises(ShapeError):
-            model_forward(model, g, prompts=[Tensor(np.zeros((g.num_directed_edges, 2)))])
+            model_forward(model, g, prompts=EdgePromptPlusParams.shared([2]))
 
     def test_feature_dim_checked(self, rng):
         g = random_connected_graph(rng, 4, feature_dim=5)
@@ -237,11 +245,11 @@ def test_all_zero_bundle_reproduces_prompt_free_output_bitwise(rng):
     g = random_connected_graph(rng, 6, feature_dim=3)
     for kind in ("gcn", "gin"):
         model = GNNModel.create(kind, (3, 4, 4), seed=10)
-        zeros = [Tensor(np.zeros((g.num_directed_edges, d)))
-                 for d in model.dims[:-1]]
         plain = model_forward(model, g).data
-        prompted = model_forward(model, g, prompts=zeros).data
-        assert plain.tobytes() == prompted.tobytes()
+        for zeros in (EdgePromptPlusParams.shared(model.dims[:-1]),
+                      EdgePromptPlusParams.create(model.dims[:-1], 3, rng)):
+            prompted = model_forward(model, g, prompts=zeros).data
+            assert plain.tobytes() == prompted.tobytes()
 
 
 class TestReadout:

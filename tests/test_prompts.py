@@ -4,47 +4,54 @@ import pytest
 import edgeprompt.tensor as T
 from edgeprompt.errors import ConfigError, ShapeError
 from edgeprompt.models import GNNModel, model_forward
-from edgeprompt.prompts import (
-    EdgePromptParams,
-    EdgePromptPlusParams,
-    NodePromptParams,
-    materialize_edgeprompt,
-)
+from edgeprompt.prompts import EdgePromptPlusParams, NodePromptParams
 from edgeprompt.tensor import Tape, Tensor, finite_difference_gradient
 
 from conftest import random_connected_graph, rel_err
 
 
+def per_entry_sum(adj, rows):
+    """Loop re-statement of the prompt term: sum_j c_ij e_ij per node."""
+    out = np.zeros((adj.num_nodes, rows.shape[1]))
+    for k in range(rows.shape[0]):
+        out[adj.owners[k]] += adj.coeffs[k] * rows[k]
+    return out
+
+
 class TestEdgePrompt:
     def test_three_edge_graph_broadcasts_to_six_rows(self, rng):
+        # every one of the six directed entries carries p, so under unit
+        # weights node i gains deg_i * p and the terms add up to six p
         from edgeprompt.graph import Graph
 
         g = Graph(4, [(0, 1), (1, 2), (2, 3)], rng.uniform(-1, 1, (4, 2)))
-        params = EdgePromptParams([Tensor([[0.5, -1.0]])])
-        bundle = materialize_edgeprompt(params, g)
-        assert bundle[0].shape == (6, 2)
-        np.testing.assert_array_equal(bundle[0].data, np.tile([0.5, -1.0], (6, 1)))
+        params = EdgePromptPlusParams([Tensor([[0.5, -1.0]])])
+        term = params.aggregate(Tensor(g.features), g.adjacency("gin"), 0).data
+        assert term.shape == (4, 2)
+        np.testing.assert_array_equal(term, np.outer([1, 2, 2, 1], [0.5, -1.0]))
+        np.testing.assert_array_equal(term.sum(axis=0), [3.0, -6.0])
 
     def test_zero_vector_gives_zero_bundle(self, rng):
         g = random_connected_graph(rng, 5, feature_dim=3)
-        params = EdgePromptParams.create([3])
-        bundle = materialize_edgeprompt(params, g)
-        assert not bundle[0].data.any()
+        params = EdgePromptPlusParams.shared([3])
+        term = params.aggregate(Tensor(g.features), g.adjacency("gcn"), 0)
+        assert not term.data.any()
 
     def test_gradient_is_sum_of_per_edge_gradients(self, rng):
-        # d loss / d p == sum over edges of d loss / d e_k
+        # d loss / d p == sum over entries of d loss / d e_k, and entry k
+        # (i <- j) reaches the loss as c_ij * e_k in node i's term
         g = random_connected_graph(rng, 5, feature_dim=3)
-        e_dir = g.num_directed_edges
-        weights = Tensor(rng.uniform(-1, 1, (e_dir, 3)))
-        params = EdgePromptParams.create([3])
-        p = params.vectors[0]
+        adj = g.adjacency("gcn")
+        weights = rng.uniform(-1, 1, (g.num_nodes, 3))
+        params = EdgePromptPlusParams.shared([3])
+        p = params.anchors[0]
         with Tape() as tape:
             tape.watch(p)
-            bundle = params.provider(g)(0, None)
-            loss = T.sum_all(T.mul(bundle, weights))
+            term = params.aggregate(Tensor(g.features), adj, 0)
+            loss = T.sum_all(T.mul(term, Tensor(weights)))
             g_p = tape.backward(loss)[p]
-        np.testing.assert_allclose(g_p, weights.data.sum(axis=0, keepdims=True),
-                                   atol=1e-12)
+        per_edge = adj.coeffs[:, None] * weights[adj.owners]
+        np.testing.assert_allclose(g_p, per_edge.sum(axis=0, keepdims=True), atol=1e-12)
 
 
 class TestScoreVectors:
@@ -54,14 +61,14 @@ class TestScoreVectors:
     def test_single_anchor_scores_are_one(self, rng):
         g = random_connected_graph(rng, 5, feature_dim=3)
         params = self._plus(rng, [3], 1)
-        scores = params.scores(Tensor(g.features), g, 0)
+        scores = params.scores(Tensor(g.features), g.adjacency("gcn"), 0)
         np.testing.assert_array_equal(scores.data,
                                       np.ones((g.num_directed_edges, 1)))
 
     def test_zero_weights_give_uniform_scores(self, rng):
         g = random_connected_graph(rng, 5, feature_dim=3)
         params = EdgePromptPlusParams([Tensor.zeros(4, 3)], [Tensor.zeros(6, 4)])
-        scores = params.scores(Tensor(g.features), g, 0)
+        scores = params.scores(Tensor(g.features), g.adjacency("gcn"), 0)
         np.testing.assert_allclose(scores.data,
                                    np.full((g.num_directed_edges, 4), 0.25),
                                    atol=1e-15)
@@ -70,7 +77,7 @@ class TestScoreVectors:
         g = random_connected_graph(rng, 6, feature_dim=2)
         params = self._plus(rng, [2], 3)
         h = rng.uniform(-1, 1, (6, 2))
-        scores = params.scores(Tensor(h), g, 0).data
+        scores = params.scores(Tensor(h), g.adjacency("gcn"), 0).data
         w = params.score_weights[0].data
         for k in range(g.num_directed_edges):
             i, j = int(g.csr_owners[k]), int(g.csr_targets[k])
@@ -83,7 +90,8 @@ class TestScoreVectors:
     def test_rows_are_probability_vectors(self, rng):
         g = random_connected_graph(rng, 7, feature_dim=3)
         params = self._plus(rng, [3], 5)
-        scores = params.scores(Tensor(rng.uniform(-3, 3, (7, 3))), g, 0).data
+        scores = params.scores(Tensor(rng.uniform(-3, 3, (7, 3))),
+                               g.adjacency("gcn"), 0).data
         assert (scores >= 0).all()
         np.testing.assert_allclose(scores.sum(axis=1), 1.0, atol=1e-12)
 
@@ -100,36 +108,44 @@ class TestEdgePromptPlusMaterialization:
         vec = rng.uniform(-1, 1, (1, 3))
         plus = EdgePromptPlusParams([Tensor(vec.copy())],
                                     [Tensor(rng.uniform(-0.1, 0.1, (6, 1)))])
-        shared = EdgePromptParams([Tensor(vec.copy())])
+        shared = EdgePromptPlusParams([Tensor(vec.copy())])
         h = Tensor(g.features)
-        out_plus = plus.materialize(h, g, 0).data
-        out_shared = materialize_edgeprompt(shared, g)[0].data
+        adj = g.adjacency("gcn")
+        out_plus = plus.aggregate(h, adj, 0).data
+        out_shared = shared.aggregate(h, adj, 0).data
         np.testing.assert_array_equal(out_plus, out_shared)
 
     def test_identical_anchors_collapse(self, rng):
+        # scores sum to 1, so identical anchors give (sum_j c_ij) * row
         g = random_connected_graph(rng, 5, feature_dim=2)
+        adj = g.adjacency("gcn")
         row = rng.uniform(-1, 1, (1, 2))
         anchors = Tensor(np.repeat(row, 4, axis=0))
         params = EdgePromptPlusParams([anchors], [Tensor(rng.uniform(-1, 1, (4, 4)))])
-        out = params.materialize(Tensor(g.features), g, 0).data
-        np.testing.assert_allclose(out, np.repeat(row, g.num_directed_edges, axis=0),
-                                   atol=1e-12)
+        out = params.aggregate(Tensor(g.features), adj, 0).data
+        ones = np.ones((g.num_directed_edges, 1))
+        np.testing.assert_allclose(out, per_entry_sum(adj, ones) * row, atol=1e-12)
 
     def test_matches_brute_force_weighted_average(self, rng):
+        # the aggregated term equals summing per-entry prompts S_k P
         g = random_connected_graph(rng, 6, feature_dim=2)
         params = EdgePromptPlusParams.create([2], 3, rng)
         params.anchors[0].data[:] = rng.uniform(-1, 1, (3, 2))
         h = Tensor(g.features)
-        scores = params.scores(h, g, 0).data
-        out = params.materialize(h, g, 0).data
-        expected = scores @ params.anchors[0].data
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+        for kind in ("gcn", "gin"):
+            adj = g.adjacency(kind)
+            scores = params.scores(h, adj, 0).data
+            out = params.aggregate(h, adj, 0).data
+            expected = per_entry_sum(adj, scores @ params.anchors[0].data)
+            np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_prompts_lie_in_anchor_convex_hull(self, rng):
+        # with unit weights node i's term is deg_i times a convex mix
         g = random_connected_graph(rng, 6, feature_dim=2)
         params = EdgePromptPlusParams.create([2], 4, rng)
         params.anchors[0].data[:] = rng.uniform(-2, 2, (4, 2))
-        out = params.materialize(Tensor(g.features), g, 0).data
+        out = params.aggregate(Tensor(g.features), g.adjacency("gin"), 0).data
+        out = out / g.degrees()[:, None]
         lo = params.anchors[0].data.min(axis=0) - 1e-12
         hi = params.anchors[0].data.max(axis=0) + 1e-12
         assert (out >= lo).all() and (out <= hi).all()
@@ -184,11 +200,11 @@ def test_prompted_forward_gradients_match_finite_differences(rng):
         if isinstance(params_obj, NodePromptParams):
             out = model_forward(model, g, features=params_obj.apply(Tensor(g.features)))
         else:
-            out = model_forward(model, g, prompts=params_obj.provider(g))
+            out = model_forward(model, g, prompts=params_obj)
         return T.sum_all(T.mul(out, Tensor(weights)))
 
     families = [
-        EdgePromptParams.create([3, 4]),
+        EdgePromptPlusParams.shared([3, 4]),
         EdgePromptPlusParams.create([3, 4], 2, rng),
         NodePromptParams.create("gpf", 3, 1, rng),
         NodePromptParams.create("gpf-plus", 3, 2, rng),

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import edgeprompt.tensor as T
 from edgeprompt.errors import ShapeError
+from edgeprompt.graph import Graph
 from edgeprompt.tensor import Tape, Tensor, finite_difference_gradient
 
 from conftest import rel_err
@@ -136,6 +137,41 @@ class TestScatterAdd:
             lambda m: T.sum_all(T.mul(T.scatter_add_rows(m, targets, 4), w)),
             msgs, tol=1e-6,
         )
+
+
+# node 3 has no entries
+_ISOLATED = Graph(4, [(0, 1), (1, 2), (0, 2)], np.zeros((4, 1)))
+
+
+class TestPropagate:
+    def test_exhaustive_small_graphs_match_dense(self):
+        # both ops against the dense operator, every edge subset on up to 4 nodes
+        from conftest import all_edge_subsets
+
+        r = np.random.default_rng(2)
+        for n in range(1, 5):
+            for edges in all_edge_subsets(n):
+                g = Graph(n, edges, np.zeros((n, 1)))
+                a = g.dense_adjacency()
+                d = a.sum(axis=1) + 1.0
+                x = r.uniform(-1, 1, (n, 2))
+                for kind, dense in (("gin", a), ("gcn", a / np.sqrt(np.outer(d, d)))):
+                    adj = g.adjacency(kind)
+                    out = T.propagate(Tensor(x), adj).data
+                    np.testing.assert_allclose(out, dense @ x, atol=1e-12)
+                    v = r.uniform(-1, 1, (g.num_directed_edges, 3))
+                    ref = np.zeros((n, 3))
+                    for k, (i, j) in enumerate(zip(g.csr_owners, g.csr_targets)):
+                        ref[i] += dense[i, j] * v[k]
+                    out = T.edge_sum(Tensor(v), adj).data
+                    np.testing.assert_allclose(out, ref, atol=1e-12)
+
+    def test_row_counts_checked(self):
+        adj = _ISOLATED.adjacency("gcn")
+        with pytest.raises(ShapeError):
+            T.propagate(Tensor(np.zeros((3, 2))), adj)
+        with pytest.raises(ShapeError):
+            T.edge_sum(Tensor(np.zeros((_ISOLATED.num_directed_edges - 1, 2))), adj)
 
 
 class TestSoftmax:
@@ -373,6 +409,27 @@ _OP_CASES = {
         lambda a, w=Tensor(rng.uniform(-1, 1, (4, 2))): T.sum_all(
             T.mul(T.scatter_add_rows(a, [1, 0, 1, 2], 4), w)),
         [rng.uniform(-1, 1, (4, 2))],
+    ),
+    # GCN and GIN weights on a graph with an isolated node
+    "propagate_gcn": lambda rng: (
+        lambda a, w=Tensor(rng.uniform(-1, 1, (4, 2))): T.sum_all(
+            T.mul(T.propagate(a, _ISOLATED.adjacency("gcn")), w)),
+        [rng.uniform(-1, 1, (4, 2))],
+    ),
+    "propagate_gin": lambda rng: (
+        lambda a, w=Tensor(rng.uniform(-1, 1, (4, 2))): T.sum_all(
+            T.mul(T.propagate(a, _ISOLATED.adjacency("gin")), w)),
+        [rng.uniform(-1, 1, (4, 2))],
+    ),
+    "edge_sum_gcn": lambda rng: (
+        lambda a, w=Tensor(rng.uniform(-1, 1, (4, 3))): T.sum_all(
+            T.mul(T.edge_sum(a, _ISOLATED.adjacency("gcn")), w)),
+        [rng.uniform(-1, 1, (_ISOLATED.num_directed_edges, 3))],
+    ),
+    "edge_sum_gin": lambda rng: (
+        lambda a, w=Tensor(rng.uniform(-1, 1, (4, 3))): T.sum_all(
+            T.mul(T.edge_sum(a, _ISOLATED.adjacency("gin")), w)),
+        [rng.uniform(-1, 1, (_ISOLATED.num_directed_edges, 3))],
     ),
     "slice_rows": lambda rng: (
         lambda a, w=Tensor(rng.uniform(-1, 1, (2, 3))): T.sum_all(

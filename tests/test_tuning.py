@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from edgeprompt.checkpoint import checkpoint_from_model, serialize_checkpoint
 from edgeprompt.data import CSBMParams, FewShotSplit, LabeledDataset, csbm_graph_dataset, kshot_sample
-from edgeprompt.errors import ConfigError, NotFittedError
+from edgeprompt.errors import ConfigError, FormatError, NotFittedError
 from edgeprompt.graph import Graph
 from edgeprompt.models import GNNModel, LinearHead
 from edgeprompt.pretrain import GraphCLPretrainer
@@ -92,6 +94,46 @@ class TestNodeTuning:
         acc_loaded = evaluate_accuracy(model, prompts, head, clique_ds,
                                        clique_split.test_ids)
         assert acc_direct == acc_loaded
+
+    def test_artifact_reproduces_tuner_at_non_default_slope(self, tmp_path,
+                                                            clique_ds, clique_split):
+        from edgeprompt.checkpoint import load_prompts, save_prompts
+        from edgeprompt.tuning import prompted_representations
+
+        ckpt = node_checkpoint(seed=6)
+        g = clique_ds.graphs[0]
+        ids = np.arange(g.num_nodes)
+        for method in ("edgeprompt", "edgeprompt+", "gpf", "gpf-plus"):
+            tuner = PromptTuner(ckpt, method=method, epochs=30, lr=0.05, anchors=3,
+                                leaky_slope=0.9, seed=0).fit(clique_ds, clique_split)
+            path = tmp_path / f"{method}.prompts"
+            save_prompts(tuner.to_learned_prompts(), path)
+            prompts, head = prompts_from_artifact(load_prompts(path), tuner.model_)
+            np.testing.assert_array_equal(
+                prompted_representations(tuner.model_, g, prompts).data,
+                prompted_representations(tuner.model_, g, tuner.prompts_).data)
+            loaded = PromptTuner(ckpt, method=method)
+            loaded.model_, loaded.prompts_, loaded.head_ = tuner.model_, prompts, head
+            np.testing.assert_array_equal(loaded.predict(clique_ds, ids),
+                                          tuner.predict(clique_ds, ids))
+
+    def test_artifact_tensors_checked_against_model(self, clique_ds, clique_split):
+        ckpt = node_checkpoint(seed=6)
+        tuner = PromptTuner(ckpt, method="edgeprompt+", epochs=1, anchors=2,
+                            seed=0).fit(clique_ds, clique_split)
+        good = tuner.to_learned_prompts()
+        cases = {
+            "head.bias": lambda t: t.pop("head.bias"),
+            "prompt.1.anchors": lambda t: t.update({"prompt.1.anchors": np.zeros((2, 3))}),
+            "prompt.0.score_weights": lambda t: t.update(
+                {"prompt.0.score_weights": np.zeros((8, 3))}),
+        }
+        for name, corrupt in cases.items():
+            lp = tuner.to_learned_prompts()
+            corrupt(lp.tensors)
+            with pytest.raises(FormatError, match=re.escape(repr(name))):
+                prompts_from_artifact(lp, tuner.model_)
+        prompts_from_artifact(good, tuner.model_)
 
     def test_feature_dim_mismatch_rejected_before_training(self, clique_ds, clique_split):
         with pytest.raises(ConfigError):
