@@ -34,6 +34,7 @@ from .errors import (
     EdgePromptError,
     FormatError,
     InsufficientDataError,
+    NonFiniteError,
     NotFittedError,
     ShapeError,
 )

@@ -97,18 +97,27 @@ def _deserialize(magic: bytes, data: bytes, path="<bytes>") -> tuple[dict, dict[
         header = json.loads(data[start : start + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header is not a JSON object")
     if header.get("version") != 1:
         raise FormatError(f"{path}: unsupported version {header.get('version')!r}")
+    entries = header.get("tensors", [])
+    if not isinstance(entries, list):
+        raise FormatError(f"{path}: header tensors must be a list")
     payload = data[start + hlen :]
     tensors: dict[str, np.ndarray] = {}
-    for entry in header.get("tensors", []):
+    for entry in entries:
         try:
             name, rows, cols, off = (entry["name"], entry["rows"],
                                      entry["cols"], entry["byte_offset"])
         except (KeyError, TypeError) as exc:
             raise FormatError(f"{path}: malformed tensor entry {entry!r}") from exc
+        if not isinstance(name, str) or not all(
+                type(v) is int and v >= 0 for v in (rows, cols, off)):
+            raise FormatError(f"{path}: tensor entry {entry!r} needs a string name "
+                              "and non-negative int rows, cols and byte_offset")
         nbytes = rows * cols * 8
-        if off < 0 or off + nbytes > len(payload):
+        if off + nbytes > len(payload):
             raise FormatError(
                 f"{path}: tensor {name!r} payload [{off}, {off + nbytes}) "
                 f"exceeds {len(payload)} available bytes"

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DatasetError, InsufficientDataError, ShapeError
+from .errors import DatasetError, FormatError, InsufficientDataError, ShapeError
 from .graph import Graph
 
 logger = logging.getLogger(__name__)
@@ -116,7 +116,12 @@ def load_dataset(path) -> LabeledDataset:
     node_labels: list[np.ndarray] = []
     graph_labels: list[int] = []
     dropped = collapsed = 0
+    if not isinstance(raw["graphs"], list):
+        raise FormatError(f"{path}: graphs must be a list of objects")
     for k, entry in enumerate(raw["graphs"]):
+        if not isinstance(entry, dict):
+            raise FormatError(f"{path}: graph {k}: entry must be an object, "
+                              f"got {type(entry).__name__}")
         unknown = set(entry) - _GRAPH_KEYS
         if unknown:
             raise DatasetError(f"{path}: graph {k}: unknown keys {sorted(unknown)}")
@@ -125,24 +130,32 @@ def load_dataset(path) -> LabeledDataset:
             g = Graph(n, entry["edges"], entry["features"])
         except KeyError as exc:
             raise DatasetError(f"{path}: graph {k}: missing field {exc}") from exc
-        except (ShapeError, IndexError, ValueError) as exc:
+        except (ShapeError, IndexError, ValueError, TypeError) as exc:
             raise DatasetError(f"{path}: graph {k}: {exc}") from exc
+        if not np.isfinite(g.features).all():
+            raise FormatError(f"{path}: graph {k}: features contain NaN or Inf")
         dropped += g.dropped_self_loops
         collapsed += g.collapsed_duplicates
         graphs.append(g)
         if task == "node":
             if "node_labels" not in entry:
                 raise DatasetError(f"{path}: graph {k}: node task needs node_labels")
-            labels = np.asarray(entry["node_labels"], dtype=np.int64)
+            try:
+                labels = np.asarray(entry["node_labels"], dtype=np.int64)
+            except (TypeError, ValueError) as exc:
+                raise DatasetError(f"{path}: graph {k}: node_labels: {exc}") from exc
             if labels.shape != (n,):
                 raise DatasetError(
-                    f"{path}: graph {k}: {labels.shape[0]} node labels for {n} nodes"
+                    f"{path}: graph {k}: node labels of shape {labels.shape} for {n} nodes"
                 )
             node_labels.append(labels)
         else:
             if "graph_label" not in entry:
                 raise DatasetError(f"{path}: graph {k}: graph task needs graph_label")
-            graph_labels.append(int(entry["graph_label"]))
+            try:
+                graph_labels.append(int(entry["graph_label"]))
+            except (TypeError, ValueError) as exc:
+                raise DatasetError(f"{path}: graph {k}: graph_label: {exc}") from exc
     if not graphs:
         raise DatasetError(f"{path}: container holds no graphs")
     if dropped:

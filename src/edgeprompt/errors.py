@@ -31,7 +31,13 @@ class CompatibilityError(ConfigError):
 
 
 class FormatError(EdgePromptError, ValueError):
-    """A binary artifact file is malformed (magic, version, or layout)."""
+    """A file's contents are malformed: an artifact's magic, version or
+    header, or a dataset entry that is not an object or not finite."""
+
+
+class NonFiniteError(EdgePromptError, ValueError):
+    """A value is NaN or Inf: a tensor's data, a softmax input, or a
+    tuning loss or gradient (then the message names method and epoch)."""
 
 
 class NotFittedError(EdgePromptError, RuntimeError):

@@ -14,6 +14,20 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 
 
+def unique_sorted(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an integer array, as ``np.unique``.
+
+    One sort and a neighbour comparison: numpy's hash-table ``unique``
+    is several times slower on 10^5-10^6 keys, and its random access
+    makes its time swing with cache contention.
+    """
+    s = np.sort(values, axis=None)
+    keep = np.empty(s.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
 class Graph:
     """Immutable sparse graph: CSR structure plus an N x D feature matrix.
 
@@ -46,7 +60,7 @@ class Graph:
         # row-wise unique/lexsort on large edge lists
         lo = np.minimum(pairs[:, 0], pairs[:, 1])
         hi = np.maximum(pairs[:, 0], pairs[:, 1])
-        keys = np.unique(lo * np.int64(num_nodes) + hi)
+        keys = unique_sorted(lo * np.int64(num_nodes) + hi)
         self.collapsed_duplicates = int(pairs.shape[0] - keys.shape[0])
 
         m = keys.shape[0]
@@ -106,8 +120,10 @@ class Adjacency:
     Entry k sends from ``targets[k]`` into ``owners[k]`` with weight
     ``coeffs[k]``: 1/sqrt((d_i+1)(d_j+1)) for ``"gcn"``, whose self-loop
     weights 1/(d_i+1) are ``self_coeffs``, and 1 for ``"gin"``.  Owners
-    are sorted; ``rows`` (nodes with entries) and ``starts`` (their first
-    entries) are the layout ``tensor.propagate`` and ``edge_sum`` reduce with.
+    are sorted; ``counts`` (entries per node, 0 for isolated nodes),
+    ``rows`` (nodes with entries) and ``starts`` (their first entries) are
+    the layout that ``tensor.propagate``, ``edge_sum`` and
+    ``edge_softmax_sum`` expand and reduce with.
     """
 
     def __init__(self, g: "Graph", kind: str):
@@ -116,21 +132,14 @@ class Adjacency:
         self.num_nodes = g.num_nodes
         self.owners = g.csr_owners
         self.targets = g.csr_targets
-        self.rows = np.flatnonzero(np.diff(g.csr_offsets))
+        self.counts = g.degrees()
+        self.rows = np.flatnonzero(self.counts)
         self.starts = g.csr_offsets[self.rows]
         self.coeffs, self.self_coeffs = np.ones(self.owners.shape[0]), None
         if kind == "gcn":
-            inv_sqrt = 1.0 / np.sqrt(g.degrees() + 1.0)
+            inv_sqrt = 1.0 / np.sqrt(self.counts + 1.0)
             self.coeffs = inv_sqrt[self.owners] * inv_sqrt[self.targets]
             self.self_coeffs = inv_sqrt * inv_sqrt
-        self._target_order = None
-
-    @property
-    def target_order(self) -> np.ndarray:
-        """Cached stable argsort of ``targets`` (reused by backward scatters)."""
-        if self._target_order is None:
-            self._target_order = np.argsort(self.targets, kind="stable")
-        return self._target_order
 
 
 def disjoint_union(graphs: list[Graph]) -> tuple[Graph, np.ndarray]:

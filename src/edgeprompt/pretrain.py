@@ -21,7 +21,7 @@ from .base import BaseEstimator, check_positive, check_unit_interval
 from .checkpoint import Checkpoint, checkpoint_from_model
 from .data import LabeledDataset
 from .errors import ConfigError
-from .graph import Graph, disjoint_union, membership_from_offsets
+from .graph import Graph, disjoint_union, membership_from_offsets, unique_sorted
 from .models import GNNModel, classifier_forward, glorot_uniform, model_forward, readout
 from .optim import Adam
 from . import tensor as T
@@ -92,7 +92,7 @@ def _sample_non_edges(rng, num_nodes: int, present_keys: np.ndarray, count: int)
         keys = a * n + b
         absent = (np.searchsorted(taken, keys, side="left")
                   == np.searchsorted(taken, keys, side="right"))
-        keys = np.unique(keys[(a != b) & absent])
+        keys = unique_sorted(keys[(a != b) & absent])
         keys = keys[: count - have]
         if keys.size:
             chosen.append(keys)

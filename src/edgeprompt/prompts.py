@@ -11,7 +11,10 @@ layer's M anchors P by scores S_ij = softmax(LeakyReLU([h_i || h_j] W)),
 so the two directions of an edge may differ.  EdgePrompt is the unscored
 case, one anchor and S = 1.  Layers take the prompts summed per node,
 sum_j c_ij e_ij = (sum_j c_ij S_ij) P: scores are summed (N x M) before
-they meet the anchors, so no E x D prompt tensor exists.
+they meet the anchors, so no E x D prompt tensor exists.  One fused tape
+op, ``tensor.edge_softmax_sum``, makes that sum from the N x 2M products
+h [W_top | W_bot]; the only edge-sized arrays it keeps are the M x E
+scores and LeakyReLU gate its backward needs.
 """
 
 from __future__ import annotations
@@ -82,17 +85,9 @@ class EdgePromptPlusParams:
             out.append((f"prompt.{l}.score_weights", w))
         return out
 
-    def scores(self, h_prev: Tensor, adj: Adjacency, layer: int) -> Tensor:
-        """Per-entry mixing weights: Softmax(LeakyReLU([h_i || h_j] W)).
-
-        Entry k is the directed pair owners[k] <- targets[k]; h_i is the
-        owner's row, h_j the neighbor's.  Rows sum to 1 and gradients flow
-        into both W and h_prev (no stop-gradient).
-
-        Computed as h_i W_top + h_j W_bot (the block split of the
-        concatenation product), so only N x M products are gathered per
-        edge instead of E x 2D concatenations.
-        """
+    def _score_logits(self, h_prev: Tensor, layer: int) -> Tensor:
+        """h_prev [W_top | W_bot] (N x 2M): the owner and neighbor halves
+        of [h_i || h_j] W, so only N x M products exist before the edges."""
         w = self.score_weights[layer]
         d = h_prev.shape[1]
         if d * 2 != w.shape[0]:
@@ -100,21 +95,31 @@ class EdgePromptPlusParams:
                 f"layer {layer}: representations of width {d} "
                 f"vs score weights {w.shape}"
             )
-        s_own = T.matmul(h_prev, T.slice_rows(w, 0, d))
-        s_nbr = T.matmul(h_prev, T.slice_rows(w, d, 2 * d))
-        logits = T.add(
-            T.gather_rows(s_own, adj.owners),
-            T.gather_rows(s_nbr, adj.targets, scatter_order=adj.target_order),
-        )
-        return T.softmax_rows(T.leaky_relu(logits, self.leaky_slope))
+        halves = T.concat_cols(T.slice_rows(w, 0, d), T.slice_rows(w, d, 2 * d))
+        return T.matmul(h_prev, halves)
+
+    def scores(self, h_prev: Tensor, adj: Adjacency, layer: int) -> Tensor:
+        """Per-entry mixing weights Softmax(LeakyReLU([h_i || h_j] W)) (E x M,
+        a constant; training takes them through :meth:`aggregate`).
+
+        Entry k is the directed pair owners[k] <- targets[k]; h_i is the
+        owner's row, h_j the neighbor's.  Rows sum to 1.
+        """
+        logits = self._score_logits(h_prev, layer)
+        return Tensor(T.edge_softmax(logits, adj, self.leaky_slope))
 
     def aggregate(self, h_prev: Tensor, adj: Adjacency, layer: int) -> Tensor:
-        """The layer's prompt term per node, sum_j c_ij e_ij (N x D)."""
+        """The layer's prompt term per node, sum_j c_ij e_ij (N x D).
+
+        Scores reach the anchors already summed per node by the fused
+        ``edge_softmax_sum``, whose gradients flow into both W and h_prev.
+        """
         if self.score_weights is None:
-            mix = Tensor.ones(adj.owners.shape[0], 1)
+            mix = T.edge_sum(Tensor.ones(adj.owners.shape[0], 1), adj)
         else:
-            mix = self.scores(h_prev, adj, layer)
-        return T.matmul(T.edge_sum(mix, adj), self.anchors[layer])
+            mix = T.edge_softmax_sum(self._score_logits(h_prev, layer), adj,
+                                     self.leaky_slope)
+        return T.matmul(mix, self.anchors[layer])
 
 
 class NodePromptParams:

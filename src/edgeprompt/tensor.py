@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NonFiniteError, ShapeError
 
 __all__ = [
     "Tensor",
@@ -43,6 +43,8 @@ __all__ = [
     "scatter_add_rows",
     "propagate",
     "edge_sum",
+    "edge_softmax",
+    "edge_softmax_sum",
     "concat_cols",
     "concat_rows",
     "cross_entropy_with_logits",
@@ -76,7 +78,7 @@ class Tensor:
         if _node_id is None:
             arr = _as_matrix(data)
             if not np.isfinite(arr).all():
-                raise ValueError("tensor data contains NaN or Inf")
+                raise NonFiniteError("tensor data contains NaN or Inf")
             self.data = arr
         else:
             self.data = data
@@ -322,7 +324,7 @@ def softmax_rows(a: Tensor) -> Tensor:
     m = a.data.max(axis=1, keepdims=True)
     # NaN propagates into the row max; the stabilizer makes Inf harmless
     if np.isnan(m).any():
-        raise ValueError("softmax_rows: input contains NaN")
+        raise NonFiniteError("softmax_rows: input contains NaN")
     shifted = a.data - m
     e = np.exp(shifted)
     y = e / e.sum(axis=1, keepdims=True)
@@ -370,20 +372,12 @@ def mean_all(a: Tensor) -> Tensor:
 # indexed ops (the sparse-graph primitives)
 
 
-def _segment_sum(values: np.ndarray, targets: np.ndarray, num_rows: int,
-                 order: np.ndarray | None = None) -> np.ndarray:
-    """Sum rows of ``values`` into ``out[targets[k]]``.
-
-    ``order`` may carry a precomputed stable argsort of ``targets`` (a
-    worthwhile cache when the same index vector is scattered every
-    training step).
-    """
+def _segment_sum(values: np.ndarray, targets: np.ndarray, num_rows: int) -> np.ndarray:
+    """Sum rows of ``values`` into ``out[targets[k]]``."""
     out = np.zeros((num_rows, values.shape[1]))
     if values.shape[0] == 0:
         return out
-    if order is not None:
-        ordered, tgt = values[order], targets[order]
-    elif np.all(targets[1:] >= targets[:-1]):
+    if np.all(targets[1:] >= targets[:-1]):
         ordered, tgt = values, targets
     else:
         order = np.argsort(targets, kind="stable")
@@ -414,21 +408,14 @@ def scatter_add_rows(messages: Tensor, targets, num_rows: int) -> Tensor:
     return _emit(data, [(messages, lambda g: g[tgt])])
 
 
-def gather_rows(x: Tensor, indices, scatter_order: np.ndarray | None = None) -> Tensor:
-    """Select rows: out[k] = x[indices[k]].  Backward scatter-adds.
-
-    ``scatter_order`` optionally supplies a cached argsort of ``indices``
-    for the backward segment sum.
-    """
+def gather_rows(x: Tensor, indices) -> Tensor:
+    """Select rows: out[k] = x[indices[k]].  Backward scatter-adds."""
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         bad = idx[(idx < 0) | (idx >= x.shape[0])][0]
         raise IndexError(f"gather_rows: index {bad} out of range [0, {x.shape[0]})")
     rows = x.shape[0]
-    return _emit(
-        x.data[idx],
-        [(x, lambda g: _segment_sum(g, idx, rows, order=scatter_order))],
-    )
+    return _emit(x.data[idx], [(x, lambda g: _segment_sum(g, idx, rows))])
 
 
 def _owner_sum(entries: np.ndarray, adj, axis: int) -> np.ndarray:
@@ -473,6 +460,76 @@ def edge_sum(values: Tensor, adj) -> Tensor:
 
     entries = values.data * adj.coeffs[:, None]
     return _emit(_owner_sum(entries, adj, axis=0), [(values, pull)])
+
+
+def _edge_softmax(logits: np.ndarray, adj, slope: float):
+    """Scores S_:k = softmax(LeakyReLU(a_i + b_j)) of each entry k = (i <- j),
+    for N x 2M ``logits`` [a | b], and the LeakyReLU gate (1 or slope).
+
+    Both are anchor-major (M x E), so every reduction over the M anchors
+    runs along axis 0 over contiguous entry rows.
+    """
+    if not 0.0 < slope < 1.0:
+        raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
+    n, cols = logits.shape
+    if n != adj.num_nodes or cols % 2:
+        raise ShapeError(f"edge softmax: logits {logits.shape} are not "
+                         f"{adj.num_nodes} x 2M")
+    m = cols // 2
+    # owners are sorted, so repeating a_i by entry count expands it
+    s = np.repeat(logits[:, :m].T, adj.counts, axis=1)
+    gate = np.take(logits[:, m:].T, adj.targets, axis=1)
+    s += gate
+    np.greater_equal(s, 0.0, out=gate)
+    np.maximum(gate, slope, out=gate)
+    s *= gate
+    top = s.max(axis=0)
+    # NaN propagates into the max; the stabilizer makes Inf harmless
+    if np.isnan(top).any():
+        raise NonFiniteError("edge softmax: logits contain NaN")
+    s -= top
+    np.exp(s, out=s)
+    s /= s.sum(axis=0)
+    return s, gate
+
+
+def edge_softmax(logits: Tensor, adj, slope: float) -> np.ndarray:
+    """The entries' scores as an E x M array (no gradient); see
+    :func:`edge_softmax_sum`."""
+    return _edge_softmax(logits.data, adj, slope)[0].T
+
+
+def edge_softmax_sum(logits: Tensor, adj, slope: float) -> Tensor:
+    """Z_i = sum_j c_ij softmax(LeakyReLU(a_i + b_j)) (N x M), for N x 2M
+    ``logits`` [a | b] and the entries (i <- j) of a ``graph.Adjacency``.
+
+    This fuses gather, add, LeakyReLU, row softmax and :func:`edge_sum`
+    into one node whose backward keeps only the M x E scores S and gate:
+    dS = c dZ[owner], dL = gate S (dS - <dS, S>); da sums dL per owner,
+    db per target.
+    """
+    s, gate = _edge_softmax(logits.data, adj, slope)
+    n, m = adj.num_nodes, s.shape[0]
+    # one anchor row at a time, so no second M x E array is made
+    z = np.zeros((n, m))
+    row = np.empty(s.shape[1])
+    for k in range(m if adj.starts.size else 0):
+        np.multiply(s[k], adj.coeffs, out=row)
+        z[adj.rows, k] = np.add.reduceat(row, adj.starts)
+
+    def pull(g):
+        d = np.repeat(g.T, adj.counts, axis=1)
+        d *= adj.coeffs
+        d -= np.einsum("me,me->e", d, s)
+        d *= s
+        d *= gate
+        out = np.empty((n, 2 * m))
+        out[:, :m] = _owner_sum(d, adj, axis=1)
+        for k in range(m):
+            out[:, m + k] = np.bincount(adj.targets, weights=d[k], minlength=n)
+        return out
+
+    return _emit(z, [(logits, pull)])
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:

@@ -18,7 +18,7 @@ import numpy as np
 from .base import BaseEstimator, check_is_fitted, check_positive
 from .checkpoint import Checkpoint, LearnedPrompts, build_model
 from .data import FewShotSplit, LabeledDataset
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, NonFiniteError
 from .graph import Graph, disjoint_union, membership_from_offsets
 from .models import GNNModel, LinearHead, classifier_forward, model_forward, readout
 from .optim import Adam
@@ -178,6 +178,28 @@ class PromptTuner(BaseEstimator):
         self.split_ = split
         return self
 
+    def _step(self, epoch, trainable, opt, logits_fn, y):
+        """One optimizer step on the cross entropy of ``logits_fn()``.
+
+        A NaN met on the way, or a loss or gradient that is not finite,
+        raises ``NonFiniteError`` naming the method and epoch before any
+        parameter changes.
+        """
+        where = f"{self.method}, epoch {epoch + 1} of {self.epochs}"
+        with Tape() as tape:
+            tape.watch(*trainable)
+            try:
+                logits = logits_fn()
+                loss = T.cross_entropy_with_logits(logits, y)
+                grads = tape.backward(loss)
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"{where}: {exc}") from exc
+            grads = [grads[t] for t in trainable]
+            if not (np.isfinite(loss.item()) and all(np.isfinite(g).all() for g in grads)):
+                raise NonFiniteError(f"{where}: the loss or a gradient is not finite")
+            opt.step(grads)
+        return logits, loss
+
     def _fit_node(self, model, prompts, head, dataset, train_ids, labels,
                   trainable, opt, history):
         g = dataset.graphs[0] if len(dataset.graphs) == 1 else disjoint_union(dataset.graphs)[0]
@@ -186,38 +208,31 @@ class PromptTuner(BaseEstimator):
         if prompts is None:
             # No prompts means the representations never change; compute once.
             frozen_reps = prompted_representations(model, g, None).data[train_ids]
-        for _ in range(self.epochs):
-            with Tape() as tape:
-                tape.watch(*trainable)
-                if frozen_reps is None:
-                    reps = prompted_representations(model, g, prompts)
-                    picked = T.gather_rows(reps, train_ids)
-                else:
-                    picked = Tensor(frozen_reps)
-                logits = classifier_forward(head, picked)
-                loss = T.cross_entropy_with_logits(logits, y)
-                grads = tape.backward(loss)
-                opt.step([grads[t] for t in trainable])
+
+        def logits_fn():
+            if frozen_reps is not None:
+                return classifier_forward(head, Tensor(frozen_reps))
+            reps = prompted_representations(model, g, prompts)
+            return classifier_forward(head, T.gather_rows(reps, train_ids))
+
+        for epoch in range(self.epochs):
+            logits, loss = self._step(epoch, trainable, opt, logits_fn, y)
             history["loss"].append(loss.item())
             history["train_acc"].append(float(np.mean(np.argmax(logits.data, axis=1) == y)))
 
     def _fit_graph(self, model, prompts, head, dataset, train_ids, labels,
                    trainable, opt, history):
         batch_rng = np.random.default_rng([int(self.seed), 0xBA7C])
-        y_all = labels
-        for _ in range(self.epochs):
+        for epoch in range(self.epochs):
             order = train_ids[batch_rng.permutation(train_ids.size)]
             losses, sizes, correct = [], [], 0
             for start in range(0, order.size, self.batch_size):
                 batch = order[start : start + self.batch_size]
                 graphs = [dataset.graphs[i] for i in batch]
-                y = y_all[batch]
-                with Tape() as tape:
-                    tape.watch(*trainable)
-                    logits = _graph_logits(model, prompts, head, graphs, self.readout)
-                    loss = T.cross_entropy_with_logits(logits, y)
-                    grads = tape.backward(loss)
-                    opt.step([grads[t] for t in trainable])
+                y = labels[batch]
+                logits, loss = self._step(
+                    epoch, trainable, opt,
+                    lambda: _graph_logits(model, prompts, head, graphs, self.readout), y)
                 losses.append(loss.item())
                 sizes.append(batch.size)
                 correct += int(np.sum(np.argmax(logits.data, axis=1) == y))

@@ -1,7 +1,11 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from edgeprompt.checkpoint import (
+    CHECKPOINT_MAGIC,
     Checkpoint,
     LearnedPrompts,
     build_model,
@@ -129,3 +133,44 @@ class TestLearnedPrompts:
         bad = self._artifact(digest="0" * 64)
         with pytest.raises(CompatibilityError):
             check_compatible(bad, ckpt)
+
+
+def _edit_entry(blob: bytes, index: int, **changes) -> bytes:
+    """The container with tensor entry ``index`` of its header changed
+    (both magics are 8 bytes)."""
+    start = len(CHECKPOINT_MAGIC) + 4
+    (hlen,) = struct.unpack_from("<I", blob, len(CHECKPOINT_MAGIC))
+    header = json.loads(blob[start:start + hlen])
+    header["tensors"][index].update(changes)
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return blob[:len(CHECKPOINT_MAGIC)] + struct.pack("<I", len(raw)) + raw + blob[start + hlen:]
+
+
+def _blob_and_loader(kind):
+    if kind == "checkpoint":
+        return serialize_checkpoint(make_checkpoint()), load_checkpoint
+    return serialize_prompts(TestLearnedPrompts()._artifact()), load_prompts
+
+
+class TestHeaderValidation:
+    @pytest.mark.parametrize("kind", ["checkpoint", "prompts"])
+    @pytest.mark.parametrize("field,value", [
+        ("rows", -1), ("rows", "2"), ("rows", True), ("rows", 1.0),
+        ("cols", -2), ("cols", None), ("byte_offset", -8), ("byte_offset", "0"),
+        ("name", 7),
+    ])
+    def test_bad_entry_is_format_error(self, tmp_path, kind, field, value):
+        blob, load = _blob_and_loader(kind)
+        path = tmp_path / "a.bin"
+        path.write_bytes(_edit_entry(blob, 0, **{field: value}))
+        with pytest.raises(FormatError):
+            load(path)
+
+    @pytest.mark.parametrize("kind", ["checkpoint", "prompts"])
+    def test_negative_rows_do_not_load_as_another_shape(self, tmp_path, kind):
+        # a weight declared with rows -1 once came back whole, in its own shape
+        blob, load = _blob_and_loader(kind)
+        path = tmp_path / "a.bin"
+        path.write_bytes(_edit_entry(blob, 1, rows=-1))
+        with pytest.raises(FormatError, match="non-negative int"):
+            load(path)

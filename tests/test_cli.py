@@ -75,6 +75,31 @@ class TestPretrainCommand:
                    str(tmp_path / "missing.json"), "--out", str(tmp_path / "o.bin")])
         assert rc == 2
 
+    @staticmethod
+    def _pretrain_on_edited(node_ds_path, tmp_path, edit):
+        with open(node_ds_path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        edit(raw)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw), encoding="utf-8")
+        return main(["pretrain", "--strategy", "graphcl", "--dataset", str(bad),
+                     "--out", str(tmp_path / "o.bin"), "--epochs", "1"])
+
+    def test_nan_features_exit_1_naming_the_graph(self, node_ds_path, tmp_path, capsys):
+        def edit(raw):
+            raw["graphs"][0]["features"][2][1] = float("nan")
+
+        assert self._pretrain_on_edited(node_ds_path, tmp_path, edit) == 1
+        assert "graph 0: features contain NaN or Inf" in capsys.readouterr().err
+
+    def test_non_object_graph_entry_exit_1_naming_the_graph(self, node_ds_path,
+                                                            tmp_path, capsys):
+        def edit(raw):
+            raw["graphs"].append(5)
+
+        assert self._pretrain_on_edited(node_ds_path, tmp_path, edit) == 1
+        assert "graph 1: entry must be an object" in capsys.readouterr().err
+
 
 class TestTuneCommand:
     def test_report_has_one_entry_per_seed(self, node_ds_path, ckpt_path, tmp_path):

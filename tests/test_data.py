@@ -72,6 +72,23 @@ class TestLoadDataset:
         with pytest.raises(DatasetError):
             load_dataset(write_container(tmp_path, payload))
 
+    @pytest.mark.parametrize("labels", [["a", 1], 3])
+    def test_non_integer_node_labels_name_the_graph(self, tmp_path, labels):
+        payload = tiny_node_container()
+        payload["graphs"][0]["node_labels"] = labels
+        with pytest.raises(DatasetError, match="graph 0"):
+            load_dataset(write_container(tmp_path, payload))
+
+    @pytest.mark.parametrize("label", ["x", [1], None])
+    def test_non_integer_graph_label_names_the_graph(self, tmp_path, label):
+        payload = tiny_node_container()
+        payload["task"] = "graph"
+        entry = payload["graphs"][0]
+        del entry["node_labels"]
+        entry["graph_label"] = label
+        with pytest.raises(DatasetError, match="graph 0: graph_label"):
+            load_dataset(write_container(tmp_path, payload))
+
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"num_classes": 2,\n  "task": }')

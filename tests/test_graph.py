@@ -8,6 +8,7 @@ from edgeprompt.graph import (
     Graph,
     disjoint_union,
     membership_from_offsets,
+    unique_sorted,
 )
 
 from conftest import all_edge_subsets, random_graph
@@ -71,6 +72,14 @@ class TestGraphConstruction:
             assert ids[(j, i)] == eid
         degs = g.degrees()
         assert degs.sum() == g.num_directed_edges
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 300), st.integers(1, 50))
+    @settings(max_examples=30, deadline=None)
+    def test_unique_sorted_matches_np_unique(self, seed, size, high):
+        keys = np.random.default_rng(seed).integers(0, high, size=size)
+        got, want = unique_sorted(keys), np.unique(keys)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 class TestNormalizedAdjacency:

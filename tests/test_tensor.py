@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import edgeprompt.tensor as T
-from edgeprompt.errors import ShapeError
+from edgeprompt.errors import NonFiniteError, ShapeError
 from edgeprompt.graph import Graph
 from edgeprompt.tensor import Tape, Tensor, finite_difference_gradient
 
@@ -172,6 +172,83 @@ class TestPropagate:
             T.propagate(Tensor(np.zeros((3, 2))), adj)
         with pytest.raises(ShapeError):
             T.edge_sum(Tensor(np.zeros((_ISOLATED.num_directed_edges - 1, 2))), adj)
+
+
+def _unfused_edge_softmax_sum(logits, adj, slope):
+    """The five-op chain the fused op replaces, on N x 2M logits [a | b]."""
+    m = logits.shape[1] // 2
+    a = T.matmul(logits, Tensor(np.eye(2 * m)[:, :m]))
+    b = T.matmul(logits, Tensor(np.eye(2 * m)[:, m:]))
+    y = T.add(T.gather_rows(a, adj.owners), T.gather_rows(b, adj.targets))
+    return T.edge_sum(T.softmax_rows(T.leaky_relu(y, slope)), adj)
+
+
+def _graph_with_isolated_nodes(r, n):
+    mask = np.triu(r.random((n, n)) < r.uniform(0.1, 0.7), k=1)
+    lonely = r.choice(n, size=2, replace=False)
+    mask[lonely, :] = mask[:, lonely] = False
+    return Graph(n, np.argwhere(mask), np.zeros((n, 1)))
+
+
+class TestEdgeSoftmaxSum:
+    def test_matches_unfused_chain(self):
+        # value and gradient of a random linear readout, 1e-12 relative
+        r = np.random.default_rng(3)
+        for _ in range(20):
+            n, m = int(r.integers(2, 30)), int(r.integers(1, 6))
+            g = _graph_with_isolated_nodes(r, n)
+            logits = r.uniform(-3, 3, (n, 2 * m))
+            w = Tensor(r.uniform(-1, 1, (n, m)))
+            for kind in ("gcn", "gin"):
+                adj = g.adjacency(kind)
+                outs = []
+                for op in (T.edge_softmax_sum, _unfused_edge_softmax_sum):
+                    (grad,) = grad_of(
+                        lambda t: T.sum_all(T.mul(op(t, adj, 0.3), w)), logits)
+                    outs.append((op(Tensor(logits), adj, 0.3).data, grad))
+                (z, gz), (ref, gref) = outs
+                assert rel_err(z, ref) < 1e-12
+                assert rel_err(gz, gref) < 1e-12
+
+    def test_scores_match_unfused_chain(self):
+        r = np.random.default_rng(4)
+        g = _graph_with_isolated_nodes(r, 12)
+        adj = g.adjacency("gcn")
+        logits = r.uniform(-3, 3, (12, 8))
+        y = logits[adj.owners, :4] + logits[adj.targets, 4:]
+        ref = T.softmax_rows(T.leaky_relu(Tensor(y), 0.2)).data
+        np.testing.assert_allclose(T.edge_softmax(Tensor(logits), adj, 0.2), ref,
+                                   rtol=1e-12, atol=0)
+
+    def test_one_anchor_is_bitwise_edge_sum_of_ones(self):
+        # criterion 4: with M = 1 every score is exactly 1
+        r = np.random.default_rng(5)
+        for _ in range(10):
+            g = _graph_with_isolated_nodes(r, int(r.integers(2, 40)))
+            for kind in ("gcn", "gin"):
+                adj = g.adjacency(kind)
+                logits = r.uniform(-3, 3, (g.num_nodes, 2))
+                ones = T.edge_sum(Tensor.ones(g.num_directed_edges, 1), adj).data
+                fused = T.edge_softmax_sum(Tensor(logits), adj, 0.2).data
+                np.testing.assert_array_equal(fused, ones)
+                (grad,) = grad_of(lambda t: T.sum_all(T.edge_softmax_sum(t, adj, 0.2)),
+                                  logits)
+                np.testing.assert_array_equal(grad, np.zeros_like(logits))
+
+    def test_rejects_nan(self):
+        logits = Tensor(np.zeros((4, 4)))
+        logits.data[1, 3] = np.nan
+        with pytest.raises(NonFiniteError, match="NaN"):
+            T.edge_softmax_sum(logits, _ISOLATED.adjacency("gcn"), 0.2)
+
+    def test_shape_and_slope_checked(self):
+        adj = _ISOLATED.adjacency("gin")
+        with pytest.raises(ShapeError):
+            T.edge_softmax_sum(Tensor(np.zeros((4, 3))), adj, 0.2)
+        with pytest.raises(ShapeError):
+            T.edge_softmax_sum(Tensor(np.zeros((3, 4))), adj, 0.2)
+        with pytest.raises(ValueError):
+            T.edge_softmax_sum(Tensor(np.zeros((4, 4))), adj, 1.0)
 
 
 class TestSoftmax:
@@ -430,6 +507,17 @@ _OP_CASES = {
         lambda a, w=Tensor(rng.uniform(-1, 1, (4, 3))): T.sum_all(
             T.mul(T.edge_sum(a, _ISOLATED.adjacency("gin")), w)),
         [rng.uniform(-1, 1, (_ISOLATED.num_directed_edges, 3))],
+    ),
+    # M = 3 anchors; logits of both signs reach both LeakyReLU branches
+    "edge_softmax_sum_gcn": lambda rng: (
+        lambda a, w=Tensor(rng.uniform(-1, 1, (4, 3))): T.sum_all(
+            T.mul(T.edge_softmax_sum(a, _ISOLATED.adjacency("gcn"), 0.2), w)),
+        [rng.uniform(-2, 2, (4, 6))],
+    ),
+    "edge_softmax_sum_gin": lambda rng: (
+        lambda a, w=Tensor(rng.uniform(-1, 1, (4, 3))): T.sum_all(
+            T.mul(T.edge_softmax_sum(a, _ISOLATED.adjacency("gin"), 0.2), w)),
+        [rng.uniform(-2, 2, (4, 6))],
     ),
     "slice_rows": lambda rng: (
         lambda a, w=Tensor(rng.uniform(-1, 1, (2, 3))): T.sum_all(

@@ -5,7 +5,7 @@ import pytest
 
 from edgeprompt.checkpoint import checkpoint_from_model, serialize_checkpoint
 from edgeprompt.data import CSBMParams, FewShotSplit, LabeledDataset, csbm_graph_dataset, kshot_sample
-from edgeprompt.errors import ConfigError, FormatError, NotFittedError
+from edgeprompt.errors import ConfigError, FormatError, NonFiniteError, NotFittedError
 from edgeprompt.graph import Graph
 from edgeprompt.models import GNNModel, LinearHead
 from edgeprompt.pretrain import GraphCLPretrainer
@@ -153,6 +153,17 @@ class TestNodeTuning:
         with pytest.raises(ConfigError):
             tuner.to_learned_prompts()
 
+    # classifier-only is left out: at lr 1e300 its probe loss stays finite
+    @pytest.mark.parametrize("method", ["edgeprompt", "edgeprompt+", "gpf", "gpf-plus"])
+    def test_divergence_stops_naming_method_and_epoch(self, clique_ds, clique_split,
+                                                      method):
+        tuner = PromptTuner(node_checkpoint(), method=method, epochs=5, lr=1e300,
+                            anchors=2, seed=0)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteError, match=rf"{re.escape(method)}, epoch \d of 5"):
+                tuner.fit(clique_ds, clique_split)
+        assert not hasattr(tuner, "history_")
+
     def test_unfitted_estimator_raises(self, clique_ds):
         with pytest.raises(NotFittedError):
             PromptTuner(node_checkpoint()).predict(clique_ds, [0])
@@ -176,6 +187,13 @@ class TestGraphTuning:
         ids = graph_split.test_ids[:5]
         one_by_one = np.array([tuner.predict(graph_ds, [i])[0] for i in ids])
         np.testing.assert_array_equal(tuner.predict(graph_ds, ids), one_by_one)
+
+    def test_divergence_stops_naming_method_and_epoch(self, graph_ds, graph_split):
+        tuner = PromptTuner(graph_checkpoint(), method="edgeprompt+", epochs=5,
+                            lr=1e300, anchors=2, batch_size=4, seed=0)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteError, match=r"edgeprompt\+, epoch \d of 5"):
+                tuner.fit(graph_ds, graph_split)
 
     def test_frozen_backbone(self, graph_ds, graph_split):
         ckpt = graph_checkpoint(seed=4)
