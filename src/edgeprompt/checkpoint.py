@@ -116,6 +116,8 @@ def _deserialize(magic: bytes, data: bytes, path="<bytes>") -> tuple[dict, dict[
                 type(v) is int and v >= 0 for v in (rows, cols, off)):
             raise FormatError(f"{path}: tensor entry {entry!r} needs a string name "
                               "and non-negative int rows, cols and byte_offset")
+        if name in tensors:
+            raise FormatError(f"{path}: tensor {name!r} is listed twice")
         nbytes = rows * cols * 8
         if off + nbytes > len(payload):
             raise FormatError(
@@ -163,7 +165,16 @@ def load_checkpoint(path) -> Checkpoint:
     model = header.get("model")
     if not isinstance(model, dict) or "kind" not in model or "dims" not in model:
         raise FormatError(f"{path}: header missing model kind/dims")
-    kind, dims = model["kind"], tuple(int(d) for d in model["dims"])
+    kind, dims = model["kind"], model["dims"]
+    if not (isinstance(dims, list) and len(dims) >= 2 and all(_is_int(d, 1) for d in dims)):
+        raise FormatError(f"{path}: model dims {dims!r} are not a list of two or more "
+                          "positive ints")
+    dims = tuple(dims)
+    strategy, seed = header.get("strategy", ""), header.get("seed", 0)
+    metadata = _header_field(header, "metadata", dict, path, {})
+    if not isinstance(strategy, str) or not _is_int(seed, 0):
+        raise FormatError(f"{path}: strategy {strategy!r} is not a string "
+                          f"or seed {seed!r} not a non-negative int")
     expected = expected_parameter_shapes(kind, dims)
     if set(expected) != set(tensors):
         diff = sorted(set(expected) ^ set(tensors))
@@ -179,10 +190,10 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(
         model_kind=kind,
         dims=dims,
-        strategy=header.get("strategy", ""),
-        seed=int(header.get("seed", 0)),
+        strategy=strategy,
+        seed=seed,
         tensors=tensors,
-        metadata=header.get("metadata", {}),
+        metadata=metadata,
     )
 
 
@@ -255,17 +266,37 @@ def load_prompts(path) -> LearnedPrompts:
     for key in ("method", "task", "shots", "split_seed", "backbone_digest"):
         if key not in header:
             raise FormatError(f"{path}: header missing field {key!r}")
+    shots, split_seed = header["shots"], header["split_seed"]
+    if not (_is_int(shots, 1) and _is_int(split_seed, 0)):
+        raise FormatError(f"{path}: shots {shots!r} must be a positive int and "
+                          f"split_seed {split_seed!r} a non-negative int")
+    task, readout = header["task"], header.get("readout", "sum")
+    if task not in ("node", "graph") or readout not in ("sum", "mean"):
+        raise FormatError(f"{path}: task {task!r} or readout {readout!r} is not known")
     return LearnedPrompts(
-        method=header["method"],
-        task=header["task"],
-        shots=int(header["shots"]),
-        split_seed=int(header["split_seed"]),
-        anchors=header.get("anchors"),
-        readout=header.get("readout", "sum"),
-        backbone_digest=header["backbone_digest"],
+        method=_header_field(header, "method", str, path),
+        task=task,
+        shots=shots,
+        split_seed=split_seed,
+        anchors=_header_field(header, "anchors", list, path),
+        readout=readout,
+        backbone_digest=_header_field(header, "backbone_digest", str, path),
         tensors=tensors,
-        metadata=header.get("metadata", {}),
+        metadata=_header_field(header, "metadata", dict, path, {}),
     )
+
+
+def _is_int(value, least: int) -> bool:
+    """A JSON integer (not a bool) of at least ``least``."""
+    return type(value) is int and value >= least
+
+
+def _header_field(header: dict, key: str, kind: type, path, default=None):
+    """``header[key]`` (or ``default`` when absent), which must be a ``kind``."""
+    value = header.get(key, default)
+    if not isinstance(value, kind):
+        raise FormatError(f"{path}: header field {key!r} is not a {kind.__name__}: {value!r}")
+    return value
 
 
 def check_compatible(lp: LearnedPrompts, ckpt: Checkpoint) -> None:

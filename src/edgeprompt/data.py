@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DatasetError, FormatError, InsufficientDataError, ShapeError
-from .graph import Graph
+from .graph import Graph, disjoint_union
 
 logger = logging.getLogger(__name__)
 
@@ -47,6 +47,7 @@ class LabeledDataset:
     node_labels: list[np.ndarray] | None = None
     graph_labels: np.ndarray | None = None
     load_stats: dict = field(default_factory=dict)
+    _node_graph: Graph | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.node_labels is None) == (self.graph_labels is None):
@@ -78,6 +79,14 @@ class LabeledDataset:
         if self.node_labels is not None:
             return np.concatenate(self.node_labels)
         return self.graph_labels
+
+    def node_graph(self) -> Graph:
+        """The graph whose nodes are the node task's instances, in order:
+        the one graph, or the disjoint union of several, built once."""
+        if self._node_graph is None:
+            self._node_graph = (self.graphs[0] if len(self.graphs) == 1
+                                else disjoint_union(self.graphs)[0])
+        return self._node_graph
 
     @property
     def num_instances(self) -> int:

@@ -84,7 +84,7 @@ class Graph:
     def adjacency(self, kind: str) -> "Adjacency":
         """The cached message-passing operator for model kind 'gcn' or 'gin'."""
         if kind not in self._adjacency:
-            self._adjacency[kind] = Adjacency(self, kind)
+            self._adjacency[kind] = Adjacency.of(self, kind)
         return self._adjacency[kind]
 
     @property
@@ -120,26 +120,82 @@ class Adjacency:
     Entry k sends from ``targets[k]`` into ``owners[k]`` with weight
     ``coeffs[k]``: 1/sqrt((d_i+1)(d_j+1)) for ``"gcn"``, whose self-loop
     weights 1/(d_i+1) are ``self_coeffs``, and 1 for ``"gin"``.  Owners
-    are sorted; ``counts`` (entries per node, 0 for isolated nodes),
-    ``rows`` (nodes with entries) and ``starts`` (their first entries) are
-    the layout that ``tensor.propagate``, ``edge_sum`` and
-    ``edge_softmax_sum`` expand and reduce with.
+    are sorted and ``offsets`` is the CSR row table; ``counts`` (entries
+    per node, 0 for isolated nodes), ``rows`` (nodes with entries) and
+    ``starts`` (their first entries) are the layout that
+    ``tensor.propagate``, ``edge_sum`` and ``edge_softmax_sum`` expand
+    and reduce with.  :meth:`restrict` cuts the operator down to the
+    receptive field of some rows.
     """
 
-    def __init__(self, g: "Graph", kind: str):
+    def __init__(self, owners, targets, offsets, coeffs, self_coeffs=None):
+        self.num_nodes = int(offsets.shape[0] - 1)
+        self.owners = owners
+        self.targets = targets
+        self.offsets = offsets
+        self.counts = np.diff(offsets)
+        self.rows = np.flatnonzero(self.counts)
+        self.starts = offsets[self.rows]
+        self.coeffs = coeffs
+        self.self_coeffs = self_coeffs
+
+    @classmethod
+    def of(cls, g: "Graph", kind: str) -> "Adjacency":
+        """The operator of model kind ``kind`` over all of ``g``."""
         if kind not in ("gcn", "gin"):
             raise ConfigError(f"adjacency kind must be 'gcn' or 'gin', got {kind!r}")
-        self.num_nodes = g.num_nodes
-        self.owners = g.csr_owners
-        self.targets = g.csr_targets
-        self.counts = g.degrees()
-        self.rows = np.flatnonzero(self.counts)
-        self.starts = g.csr_offsets[self.rows]
-        self.coeffs, self.self_coeffs = np.ones(self.owners.shape[0]), None
-        if kind == "gcn":
-            inv_sqrt = 1.0 / np.sqrt(self.counts + 1.0)
-            self.coeffs = inv_sqrt[self.owners] * inv_sqrt[self.targets]
-            self.self_coeffs = inv_sqrt * inv_sqrt
+        if kind == "gin":
+            return cls(g.csr_owners, g.csr_targets, g.csr_offsets,
+                       np.ones(g.num_directed_edges))
+        inv_sqrt = 1.0 / np.sqrt(g.degrees() + 1.0)
+        return cls(g.csr_owners, g.csr_targets, g.csr_offsets,
+                   inv_sqrt[g.csr_owners] * inv_sqrt[g.csr_targets], inv_sqrt * inv_sqrt)
+
+    def restrict(self, rows, hops: int) -> "tuple[np.ndarray, Adjacency] | None":
+        """The ``hops``-hop field of ``rows`` and this operator on it, or
+        None when the field is every node.
+
+        The field comes back as sorted node ids.  The restricted operator
+        keeps the entries whose owner and target both lie in the field,
+        numbered by position in it, so owners stay sorted and each row's
+        entries keep their order.  It keeps this operator's coefficients,
+        so GCN weights still use the whole graph's degrees: an L-layer
+        model run on the field (h^(0) = the field's feature rows) gives
+        the whole graph's outputs at ``rows`` for L <= ``hops``.  The
+        search reads only the CSR slices of each hop's new nodes and
+        stops once every node is in.
+        """
+        inside = np.zeros(self.num_nodes, dtype=bool)
+        frontier = unique_sorted(np.asarray(rows, dtype=np.int64))
+        inside[frontier] = True
+        size = frontier.size
+        for _ in range(hops):
+            if size == self.num_nodes:
+                break
+            reached = self.targets[self._entries_of(frontier)]
+            frontier = unique_sorted(reached[~inside[reached]])
+            inside[frontier] = True
+            size += frontier.size
+        if size == self.num_nodes:
+            return None
+        nodes = np.flatnonzero(inside)
+        entries = self._entries_of(nodes)
+        entries = entries[inside[self.targets[entries]]]
+        local = np.empty(self.num_nodes, dtype=np.int64)
+        local[nodes] = np.arange(nodes.size)
+        owners = local[self.owners[entries]]
+        counts = np.bincount(owners, minlength=nodes.size)
+        offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        self_coeffs = None if self.self_coeffs is None else self.self_coeffs[nodes]
+        return nodes, Adjacency(owners, local[self.targets[entries]], offsets,
+                                self.coeffs[entries], self_coeffs)
+
+    def _entries_of(self, nodes: np.ndarray) -> np.ndarray:
+        """Positions of the entries owned by ``nodes``, in their order."""
+        starts = self.offsets[nodes]
+        lengths = self.offsets[nodes + 1] - starts
+        shift = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        return shift + np.arange(shift.size)
 
 
 def disjoint_union(graphs: list[Graph]) -> tuple[Graph, np.ndarray]:

@@ -162,23 +162,26 @@ def gin_layer_forward(layer: GINLayer, h: Tensor, adj: Adjacency,
 
 
 def model_forward(model: GNNModel, g: Graph, prompts=None,
-                  features: Tensor | None = None) -> Tensor:
+                  features: Tensor | None = None, adj: Adjacency | None = None) -> Tensor:
     """Run all layers; h^(0) is the graph's feature matrix.
 
     ``prompts`` is None or an ``EdgePromptPlusParams`` with one anchor
     set per layer.  ``features`` substitutes h^(0) (used by the
-    node-feature prompt baselines).
+    node-feature prompt baselines).  ``adj`` substitutes the graph's
+    operator with a restriction of it (``Adjacency.restrict``); then
+    ``features`` holds the rows of its field and so does the result.
     """
+    if adj is None:
+        adj = g.adjacency(model.kind)
     h = Tensor(g.features) if features is None else features
-    if h.shape != (g.num_nodes, model.input_dim):
+    if h.shape != (adj.num_nodes, model.input_dim):
         raise ShapeError(
-            f"input features {h.shape} vs expected ({g.num_nodes}, {model.input_dim})"
+            f"input features {h.shape} vs expected ({adj.num_nodes}, {model.input_dim})"
         )
     if prompts is not None and len(prompts.anchors) != model.num_layers:
         raise ShapeError(
             f"prompts have {len(prompts.anchors)} layers, model has {model.num_layers}"
         )
-    adj = g.adjacency(model.kind)
     layer_forward = gcn_layer_forward if model.kind == GCN else gin_layer_forward
     for l, layer in enumerate(model.layers):
         term = None if prompts is None else prompts.aggregate(h, adj, l)

@@ -3,8 +3,10 @@
 :class:`PromptTuner` is the one estimator for both downstream tasks: it
 learns prompt parameters (per ``method``) and a linear probe on top of a
 checkpointed backbone whose weights are never touched.  Node
-classification optimizes the mean cross entropy over the labeled node
-set in full batches; graph classification batches disjoint unions and
+classification takes one step per epoch on the mean cross entropy over
+all labeled nodes, running the layers only on their receptive field
+(:class:`ReceptiveField`), the part of the graph that those rows'
+representations read; graph classification batches disjoint unions and
 applies a readout before the probe.
 
 Methods: ``edgeprompt``, ``edgeprompt+``, ``gpf``, ``gpf-plus``, and
@@ -31,13 +33,40 @@ METHODS = ("edgeprompt", "edgeprompt+", "gpf", "gpf-plus", "classifier-only")
 _EVAL_CHUNK = 128  # graphs per disjoint union during evaluation
 
 
-def prompted_representations(model: GNNModel, g: Graph, prompt_params) -> Tensor:
-    """Final node representations under the given prompt family (or none)."""
-    if prompt_params is None:
-        return model_forward(model, g)
+class ReceptiveField:
+    """Some rows of a graph and the part of the graph they read.
+
+    An L-layer backbone's output at a node depends only on the node's
+    L-hop neighbourhood, so layers run on that field, over its feature
+    rows ``features`` and the restricted operator ``adj``, give the
+    whole graph's outputs at the rows, found at positions ``rows`` of
+    the field.  When the field is every node, ``adj`` is None and the
+    layers run on the graph itself.
+    """
+
+    def __init__(self, model: GNNModel, g: Graph, rows):
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.features, self.adj = g.features, None
+        restricted = g.adjacency(model.kind).restrict(self.rows, model.num_layers)
+        if restricted is not None:
+            nodes, self.adj = restricted
+            self.features = g.features[nodes]
+            self.rows = np.searchsorted(nodes, self.rows)
+
+
+def prompted_representations(model: GNNModel, g: Graph, prompt_params,
+                             field: ReceptiveField | None = None) -> Tensor:
+    """Final node representations under the given prompt family (or none).
+
+    With a ``field`` of ``g``, only the field's requested rows, in its
+    order, computed on the field.
+    """
+    x = Tensor(g.features if field is None else field.features)
     if isinstance(prompt_params, NodePromptParams):
-        return model_forward(model, g, features=prompt_params.apply(Tensor(g.features)))
-    return model_forward(model, g, prompts=prompt_params)
+        x, prompt_params = prompt_params.apply(x), None
+    h = model_forward(model, g, prompts=prompt_params, features=x,
+                      adj=None if field is None else field.adj)
+    return h if field is None else T.gather_rows(h, field.rows)
 
 
 def _graph_logits(model, prompt_params, head, graphs, readout_kind):
@@ -64,8 +93,7 @@ def predict_labels(model: GNNModel, prompt_params, head: LinearHead,
                    ds: LabeledDataset, ids, readout_kind: str = "sum") -> np.ndarray:
     ids = np.asarray(ids, dtype=np.int64).reshape(-1)
     if ds.task == "node":
-        g = ds.graphs[0] if len(ds.graphs) == 1 else disjoint_union(ds.graphs)[0]
-        reps = prompted_representations(model, g, prompt_params)
+        reps = prompted_representations(model, ds.node_graph(), prompt_params)
         logits = classifier_forward(head, T.gather_rows(reps, ids))
         return np.argmax(logits.data, axis=1)
     preds = np.empty(ids.size, dtype=np.int64)
@@ -87,7 +115,8 @@ class PromptTuner(BaseEstimator):
         and after tuning.
     method : one of METHODS
     epochs, lr, batch_size : training loop knobs (batch_size applies to
-        graph classification only; node tuning is full-batch).
+        graph classification only; node tuning steps once per epoch on
+        all labeled nodes).
     anchors : anchor prompts per layer for edgeprompt+ (int, per-layer
         list, or None for the task default: 10 node / 5 graph).  Doubles
         as the basis size for gpf-plus.
@@ -96,7 +125,10 @@ class PromptTuner(BaseEstimator):
     seed : drives head init, score-weight init, and batch order.
 
     Fitted attributes: ``model_``, ``prompts_``, ``head_``, ``history_``
-    (per-epoch ``loss`` and ``train_acc``), ``anchors_``.
+    (per-epoch ``loss``, ``train_acc`` and ``grad_norm``, the L2 norm of
+    the gradient over all trainable tensors; graph tuning averages loss
+    and gradient norm over the epoch's batches, weighted by batch size),
+    ``anchors_``.
     """
 
     def __init__(self, checkpoint: Checkpoint, method: str = "edgeprompt+",
@@ -147,8 +179,8 @@ class PromptTuner(BaseEstimator):
         train_ids = np.asarray(split.train_ids, dtype=np.int64)
         if train_ids.size == 0:
             raise ConfigError("split has no training instances")
-        if train_ids.max() >= labels.shape[0]:
-            raise ConfigError("split ids exceed the dataset's instance count")
+        if train_ids.min() < 0 or train_ids.max() >= labels.shape[0]:
+            raise ConfigError("split ids fall outside the dataset's instances")
 
         task = dataset.task
         self.anchors_ = self._resolve_anchors(task, model.num_layers)
@@ -160,7 +192,7 @@ class PromptTuner(BaseEstimator):
         trainable = ([] if prompts is None else prompts.trainable())
         trainable = trainable + [t for _, t in head.parameters()]
         opt = Adam(trainable, lr=self.lr)
-        history = {"loss": [], "train_acc": []}
+        history = {"loss": [], "train_acc": [], "grad_norm": []}
 
         if task == "node":
             self._fit_node(model, prompts, head, dataset, train_ids, labels,
@@ -179,7 +211,8 @@ class PromptTuner(BaseEstimator):
         return self
 
     def _step(self, epoch, trainable, opt, logits_fn, y):
-        """One optimizer step on the cross entropy of ``logits_fn()``.
+        """One optimizer step on the cross entropy of ``logits_fn()``;
+        returns the logits, the loss and the gradient's L2 norm.
 
         A NaN met on the way, or a loss or gradient that is not finite,
         raises ``NonFiniteError`` naming the method and epoch before any
@@ -198,46 +231,49 @@ class PromptTuner(BaseEstimator):
             if not (np.isfinite(loss.item()) and all(np.isfinite(g).all() for g in grads)):
                 raise NonFiniteError(f"{where}: the loss or a gradient is not finite")
             opt.step(grads)
-        return logits, loss
+        return logits, loss, float(np.sqrt(sum(np.sum(g * g) for g in grads)))
 
     def _fit_node(self, model, prompts, head, dataset, train_ids, labels,
                   trainable, opt, history):
-        g = dataset.graphs[0] if len(dataset.graphs) == 1 else disjoint_union(dataset.graphs)[0]
+        g = dataset.node_graph()
         y = labels[train_ids]
+        field = ReceptiveField(model, g, train_ids)
         frozen_reps = None
         if prompts is None:
             # No prompts means the representations never change; compute once.
-            frozen_reps = prompted_representations(model, g, None).data[train_ids]
+            frozen_reps = prompted_representations(model, g, None, field).data
 
         def logits_fn():
             if frozen_reps is not None:
                 return classifier_forward(head, Tensor(frozen_reps))
-            reps = prompted_representations(model, g, prompts)
-            return classifier_forward(head, T.gather_rows(reps, train_ids))
+            return classifier_forward(head, prompted_representations(model, g, prompts, field))
 
         for epoch in range(self.epochs):
-            logits, loss = self._step(epoch, trainable, opt, logits_fn, y)
+            logits, loss, grad_norm = self._step(epoch, trainable, opt, logits_fn, y)
             history["loss"].append(loss.item())
             history["train_acc"].append(float(np.mean(np.argmax(logits.data, axis=1) == y)))
+            history["grad_norm"].append(grad_norm)
 
     def _fit_graph(self, model, prompts, head, dataset, train_ids, labels,
                    trainable, opt, history):
         batch_rng = np.random.default_rng([int(self.seed), 0xBA7C])
         for epoch in range(self.epochs):
             order = train_ids[batch_rng.permutation(train_ids.size)]
-            losses, sizes, correct = [], [], 0
+            losses, norms, sizes, correct = [], [], [], 0
             for start in range(0, order.size, self.batch_size):
                 batch = order[start : start + self.batch_size]
                 graphs = [dataset.graphs[i] for i in batch]
                 y = labels[batch]
-                logits, loss = self._step(
+                logits, loss, grad_norm = self._step(
                     epoch, trainable, opt,
                     lambda: _graph_logits(model, prompts, head, graphs, self.readout), y)
                 losses.append(loss.item())
+                norms.append(grad_norm)
                 sizes.append(batch.size)
                 correct += int(np.sum(np.argmax(logits.data, axis=1) == y))
             history["loss"].append(float(np.average(losses, weights=sizes)))
             history["train_acc"].append(correct / order.size)
+            history["grad_norm"].append(float(np.average(norms, weights=sizes)))
 
     # ------------------------------------------------------------------
 
@@ -301,13 +337,13 @@ def prompts_from_artifact(lp: LearnedPrompts, model: GNNModel):
     if not isinstance(slope, (int, float)) or not 0.0 < slope < 1.0:
         raise FormatError(f"prompt file leaky_slope {slope!r} is not in (0, 1)")
     if not (isinstance(counts, list) and len(counts) == model.num_layers
-            and all(isinstance(m, int) and m >= 1 for m in counts)):
+            and all(type(m) is int and m >= 1 for m in counts)):
         raise FormatError(f"prompt file anchors {counts!r} do not fit {model.num_layers} layers")
     prompts = _new_prompts(lp.method, model, counts, np.random.default_rng(0), slope)
     if prompts is None:
         raise ConfigError("a classifier-only run has no prompt file")
     weight = lp.tensors.get("head.weight")
-    classes = 1 if weight is None else weight.shape[1]
+    classes = 1 if weight is None else max(weight.shape[1], 1)
     head = LinearHead(Tensor.zeros(model.output_dim, classes), Tensor.zeros(1, classes))
     for name, t in prompts.named_tensors() + head.parameters():
         arr = lp.tensors.get(name)

@@ -11,7 +11,13 @@ from edgeprompt.graph import (
     unique_sorted,
 )
 
-from conftest import all_edge_subsets, random_graph
+from conftest import (
+    all_edge_subsets,
+    bfs_field,
+    graph_with_isolated_nodes,
+    isolated_and_hub_rows,
+    random_graph,
+)
 
 
 def line_graph(n, dim=2):
@@ -143,6 +149,60 @@ class TestNormalizedAdjacency:
         np.testing.assert_allclose(
             self._reconstruct(g), self._dense_reference(g), atol=1e-12
         )
+
+
+class TestRestrict:
+    @pytest.mark.parametrize("kind", ["gcn", "gin"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_field_and_entries(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        g = graph_with_isolated_nodes(rng, 30, 0.07)
+        adj = g.adjacency(kind)
+        rows = isolated_and_hub_rows(rng, g)
+        for hops in range(4):
+            out = adj.restrict(rows, hops)
+            field = bfs_field(g, rows, hops)
+            if field.size == g.num_nodes:
+                assert out is None
+                continue
+            nodes, sub = out
+            np.testing.assert_array_equal(nodes, field)
+            # the parent's entries inside the field, renumbered, in CSR order
+            keep = np.isin(adj.owners, nodes) & np.isin(adj.targets, nodes)
+            np.testing.assert_array_equal(nodes[sub.owners], adj.owners[keep])
+            np.testing.assert_array_equal(nodes[sub.targets], adj.targets[keep])
+            np.testing.assert_array_equal(sub.coeffs, adj.coeffs[keep])
+            if kind == "gcn":
+                np.testing.assert_array_equal(sub.self_coeffs, adj.self_coeffs[nodes])
+            else:
+                assert sub.self_coeffs is None
+            assert sub.num_nodes == nodes.size
+            np.testing.assert_array_equal(sub.counts,
+                                          np.bincount(sub.owners, minlength=nodes.size))
+            np.testing.assert_array_equal(sub.owners[sub.starts], sub.rows)
+
+    def test_rows_keep_all_entries_inside_the_field(self):
+        # on a path, every node strictly inside the field keeps its degree
+        g = line_graph(9)
+        nodes, sub = g.adjacency("gcn").restrict([4], 2)
+        np.testing.assert_array_equal(nodes, [2, 3, 4, 5, 6])
+        np.testing.assert_array_equal(sub.counts, [1, 2, 2, 2, 1])
+        np.testing.assert_allclose(sub.coeffs[:1], [1.0 / 3.0])
+
+    def test_whole_graph_field_is_none(self):
+        g = line_graph(5)
+        assert g.adjacency("gin").restrict([0], 4) is None
+        assert g.adjacency("gin").restrict([0], 40) is None
+        assert g.adjacency("gin").restrict(np.arange(5), 0) is None
+        nodes, _ = g.adjacency("gin").restrict([0], 3)
+        np.testing.assert_array_equal(nodes, [0, 1, 2, 3])
+
+    def test_field_of_an_isolated_node_has_no_entries(self):
+        g = Graph(4, [(0, 1), (1, 2)], np.zeros((4, 1)))
+        nodes, sub = g.adjacency("gcn").restrict([3], 2)
+        np.testing.assert_array_equal(nodes, [3])
+        assert sub.owners.size == 0 and sub.starts.size == 0
+        np.testing.assert_array_equal(sub.self_coeffs, [1.0])
 
 
 class TestDisjointUnion:

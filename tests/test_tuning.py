@@ -3,15 +3,26 @@ import re
 import numpy as np
 import pytest
 
-from edgeprompt.checkpoint import checkpoint_from_model, serialize_checkpoint
+from edgeprompt import tensor as T
+from edgeprompt import tuning
+from edgeprompt.checkpoint import build_model, checkpoint_from_model, serialize_checkpoint
 from edgeprompt.data import CSBMParams, FewShotSplit, LabeledDataset, csbm_graph_dataset, kshot_sample
 from edgeprompt.errors import ConfigError, FormatError, NonFiniteError, NotFittedError
-from edgeprompt.graph import Graph
-from edgeprompt.models import GNNModel, LinearHead
+from edgeprompt.graph import Adjacency, Graph
+from edgeprompt.models import GNNModel, LinearHead, classifier_forward
+from edgeprompt.optim import Adam
 from edgeprompt.pretrain import GraphCLPretrainer
-from edgeprompt.tensor import Tensor
-from edgeprompt.tuning import METHODS, PromptTuner, evaluate_accuracy, prompts_from_artifact
+from edgeprompt.tensor import Tape, Tensor, finite_difference_gradient
+from edgeprompt.tuning import (
+    METHODS,
+    PromptTuner,
+    ReceptiveField,
+    evaluate_accuracy,
+    prompted_representations,
+    prompts_from_artifact,
+)
 
+from conftest import graph_with_isolated_nodes, isolated_and_hub_rows, rel_err
 from test_pretrain import tiny_graph_dataset, two_cliques
 
 
@@ -139,6 +150,13 @@ class TestNodeTuning:
         with pytest.raises(ConfigError):
             PromptTuner(node_checkpoint(feature_dim=7), epochs=1).fit(
                 clique_ds, clique_split)
+
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_train_ids_outside_the_dataset_rejected(self, clique_ds, bad):
+        # a negative id would otherwise wrap to the last node
+        split = FewShotSplit(np.array([0, bad]), np.array([1]), 1, 0)
+        with pytest.raises(ConfigError, match="outside"):
+            PromptTuner(node_checkpoint(), method="edgeprompt", epochs=1).fit(clique_ds, split)
 
     def test_empty_train_split_rejected(self, clique_ds):
         empty = FewShotSplit(np.zeros(0, np.int64), np.arange(10), 0, 0)
@@ -281,3 +299,163 @@ def test_get_params_includes_checkpoint():
     assert params["method"] == "gpf"
     tuner.set_params(epochs=3)
     assert tuner.epochs == 3
+
+
+# ---------------------------------------------------------------------------
+# node tuning on the labeled rows' receptive field
+
+FIELD_CASES = [(kind, layers) for kind in ("gcn", "gin") for layers in (1, 2, 3)]
+
+
+def sparse_node_task(kind, layers, seed=0):
+    """A 40-node sparse graph with isolated nodes; the training rows hold
+    an isolated node and the node of maximum degree, in shuffled order."""
+    rng = np.random.default_rng([seed, layers, kind == "gin"])
+    g = graph_with_isolated_nodes(rng, 40, 0.05)
+    rows = rng.permutation(isolated_and_hub_rows(rng, g))
+    labels = rng.integers(0, 2, size=g.num_nodes)
+    labels[rows[:2]] = [0, 1]
+    ds = LabeledDataset([g], 2, node_labels=[labels])
+    split = FewShotSplit(rows, np.setdiff1d(np.arange(g.num_nodes), rows), 1, seed)
+    model = GNNModel.create(kind, (3,) + (4,) * layers, seed=seed)
+    return ds, split, checkpoint_from_model(model, strategy="graphcl", seed=seed)
+
+
+def tuned_tensors(tuner):
+    named = [] if tuner.prompts_ is None else tuner.prompts_.named_tensors()
+    return {name: t.data for name, t in named + tuner.head_.parameters()}
+
+
+def full_graph_fits(monkeypatch, fit):
+    """``fit`` for every method with no receptive field: the layers run on
+    the whole graph every epoch and the labeled rows are gathered after."""
+    with monkeypatch.context() as mp:
+        mp.setattr(Adjacency, "restrict", lambda self, rows, hops: None)
+        return {method: fit(method) for method in METHODS}
+
+
+class TestReceptiveField:
+    @pytest.mark.parametrize("kind,layers", FIELD_CASES)
+    def test_rows_equal_full_graph_rows(self, kind, layers):
+        ds, split, ckpt = sparse_node_task(kind, layers)
+        g = ds.graphs[0]
+        for method in METHODS:
+            # a few steps so that every prompt tensor is non-zero
+            tuner = PromptTuner(ckpt, method=method, epochs=3, lr=0.1, anchors=2,
+                                seed=1).fit(ds, split)
+            field = ReceptiveField(tuner.model_, g, split.train_ids)
+            assert field.adj is not None and field.adj.num_nodes < g.num_nodes
+            part = prompted_representations(tuner.model_, g, tuner.prompts_, field).data
+            full = prompted_representations(tuner.model_, g, tuner.prompts_).data
+            assert rel_err(part, full[split.train_ids]) < 1e-12, method
+
+    @pytest.mark.parametrize("kind,layers", FIELD_CASES)
+    def test_restricted_loss_gradients(self, kind, layers):
+        ds, split, ckpt = sparse_node_task(kind, layers)
+        g, y = ds.graphs[0], ds.all_labels()[split.train_ids]
+        for method in METHODS:
+            tuner = PromptTuner(ckpt, method=method, epochs=2, lr=0.1, anchors=2,
+                                seed=2).fit(ds, split)
+            model, prompts, head = tuner.model_, tuner.prompts_, tuner.head_
+            field = ReceptiveField(model, g, split.train_ids)
+
+            def loss_fn():
+                reps = prompted_representations(model, g, prompts, field)
+                return T.cross_entropy_with_logits(classifier_forward(head, reps), y)
+
+            trainable = ([] if prompts is None else prompts.trainable())
+            trainable = trainable + [t for _, t in head.parameters()]
+            with Tape() as tape:
+                tape.watch(*trainable)
+                grads = tape.backward(loss_fn())
+                auto = [grads[t] for t in trainable]
+            for p, ga in zip(trainable, auto):
+                base = p.data.copy()
+
+                def f(x):
+                    p.data = x.data
+                    try:
+                        return loss_fn().item()
+                    finally:
+                        p.data = base
+
+                assert rel_err(ga, finite_difference_gradient(f, Tensor(base))) < 1e-4, method
+
+    @pytest.mark.parametrize("kind,layers", FIELD_CASES)
+    def test_twenty_epochs_match_full_graph_loop(self, kind, layers, monkeypatch):
+        ds, split, ckpt = sparse_node_task(kind, layers)
+
+        def fit(method):
+            return PromptTuner(ckpt, method=method, epochs=20, lr=0.05, anchors=2,
+                               seed=3).fit(ds, split)
+
+        full = full_graph_fits(monkeypatch, fit)
+        for method in METHODS:
+            tuner = fit(method)
+            for key in ("loss", "train_acc", "grad_norm"):
+                np.testing.assert_allclose(tuner.history_[key], full[method].history_[key],
+                                           rtol=1e-12, atol=1e-12, err_msg=method)
+            ref = tuned_tensors(full[method])
+            for name, arr in tuned_tensors(tuner).items():
+                assert rel_err(arr, ref[name]) < 1e-12, (method, name)
+
+    def test_whole_graph_field_keeps_the_full_path_bitwise(self, clique_ds, clique_split,
+                                                           monkeypatch):
+        ckpt = node_checkpoint(seed=6)
+        g = clique_ds.graphs[0]
+        assert ReceptiveField(build_model(ckpt), g, clique_split.train_ids).adj is None
+
+        def fit(method):
+            return PromptTuner(ckpt, method=method, epochs=20, lr=0.05, anchors=2,
+                               seed=3).fit(clique_ds, clique_split)
+
+        full = full_graph_fits(monkeypatch, fit)
+        for method in METHODS:
+            tuner = fit(method)
+            assert tuner.history_ == full[method].history_, method
+            ref = tuned_tensors(full[method])
+            for name, arr in tuned_tensors(tuner).items():
+                np.testing.assert_array_equal(arr, ref[name], err_msg=name)
+
+
+def test_node_task_union_is_built_once(monkeypatch):
+    a, b = two_cliques(k=3, dim=4, seed=0), two_cliques(k=4, dim=4, seed=1)
+    ds = LabeledDataset(a.graphs + b.graphs, 2, node_labels=a.node_labels + b.node_labels)
+    split = kshot_sample(ds, 2, seed=0)
+    seen = []
+    forward = tuning.model_forward
+
+    def spy(model, g, *args, **kwargs):
+        seen.append(g)
+        return forward(model, g, *args, **kwargs)
+
+    monkeypatch.setattr(tuning, "model_forward", spy)
+    tuner = PromptTuner(node_checkpoint(), method="edgeprompt", epochs=2,
+                        seed=0).fit(ds, split)
+    tuner.predict(ds, split.test_ids)
+    tuner.score(ds, split.test_ids)
+    assert len(seen) == 4
+    assert all(g is ds.node_graph() for g in seen)
+    assert ds.node_graph().num_nodes == 14
+
+
+def test_grad_norm_is_each_steps_gradient_norm(clique_ds, clique_split, graph_ds,
+                                               graph_split, monkeypatch):
+    norms = []
+    step = Adam.step
+
+    def spy(self, grads):
+        norms.append(np.sqrt(sum(np.sum(g * g) for g in grads)))
+        return step(self, grads)
+
+    monkeypatch.setattr(Adam, "step", spy)
+    node = PromptTuner(node_checkpoint(), method="edgeprompt+", epochs=4, anchors=2,
+                       seed=0).fit(clique_ds, clique_split)
+    np.testing.assert_array_equal(node.history_["grad_norm"], norms)
+    assert len(norms) == 4 and min(norms) > 0.0
+    norms.clear()
+    # 12 training graphs in batches of 4: three equal batches per epoch
+    graph = PromptTuner(graph_checkpoint(), method="gpf-plus", epochs=2, batch_size=4,
+                        anchors=2, seed=0).fit(graph_ds, graph_split)
+    np.testing.assert_allclose(graph.history_["grad_norm"],
+                               np.reshape(norms, (2, 3)).mean(axis=1), rtol=1e-12)
