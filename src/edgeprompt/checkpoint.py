@@ -158,7 +158,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read and validate a checkpoint; shapes must match the declared model."""
+    """Read and validate a checkpoint; shapes must match the declared model
+    and every value must be finite."""
     with open(path, "rb") as fh:
         data = fh.read()
     header, tensors = _deserialize(CHECKPOINT_MAGIC, data, path)
@@ -187,6 +188,8 @@ def load_checkpoint(path) -> Checkpoint:
                 f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
                 f"expected {shape}"
             )
+        if not np.isfinite(tensors[name]).all():
+            raise FormatError(f"{path}: tensor {name!r} contains NaN or Inf")
     return Checkpoint(
         model_kind=kind,
         dims=dims,

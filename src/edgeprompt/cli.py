@@ -126,24 +126,15 @@ def _apply_config(parser: argparse.ArgumentParser, config: dict[str, str]) -> No
 # subcommands
 
 
+# pre-trainer parameters whose flag has another name; the rest match
+_PRETRAIN_FLAGS = {"model_kind": "model", "num_layers": "layers", "hidden_dim": "hidden"}
+
+
 def _cmd_pretrain(args) -> int:
     ds = load_dataset(args.dataset)
     cls = PRETRAINERS[args.strategy]
-    kwargs = dict(model_kind=args.model, num_layers=args.layers,
-                  hidden_dim=args.hidden, epochs=args.epochs, lr=args.lr,
-                  seed=args.seed)
-    if args.strategy == "graphcl":
-        kwargs.update(batch_size=args.batch_size, drop_ratio=args.drop_ratio,
-                      perturb_ratio=args.perturb_ratio,
-                      temperature=args.temperature, node_batch=args.node_batch)
-    elif args.strategy == "simgrace":
-        kwargs.update(batch_size=args.batch_size, noise_scale=args.noise_scale,
-                      temperature=args.temperature, node_batch=args.node_batch)
-    elif args.strategy == "ep-gppt":
-        kwargs.update(mask_ratio=args.mask_ratio)
-    else:
-        kwargs.update(temperature=args.temperature)
-    est = cls(**kwargs).fit(ds)
+    est = cls(**{name: getattr(args, _PRETRAIN_FLAGS.get(name, name))
+                 for name in cls._param_names()}).fit(ds)
     out = _out_path(args.out)
     directory = os.path.dirname(out)
     if directory:

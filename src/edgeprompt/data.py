@@ -81,8 +81,10 @@ class LabeledDataset:
         return self.graph_labels
 
     def node_graph(self) -> Graph:
-        """The graph whose nodes are the node task's instances, in order:
-        the one graph, or the disjoint union of several, built once."""
+        """All of the dataset's nodes as one graph, in instance order: the
+        one graph, or the disjoint union of several, built once.  For a
+        node task its nodes are the instances; the edge-prediction
+        pre-training strategies also use it on graph datasets."""
         if self._node_graph is None:
             self._node_graph = (self.graphs[0] if len(self.graphs) == 1
                                 else disjoint_union(self.graphs)[0])
@@ -106,6 +108,8 @@ def load_dataset(path) -> LabeledDataset:
         raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DatasetError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     if not isinstance(raw, dict):
         raise DatasetError(f"{path}: top level must be an object")
     unknown = set(raw) - _TOP_KEYS
@@ -118,7 +122,7 @@ def load_dataset(path) -> LabeledDataset:
     if task not in ("node", "graph"):
         raise DatasetError(f"{path}: task must be 'node' or 'graph', got {task!r}")
     num_classes = raw["num_classes"]
-    if not isinstance(num_classes, int) or num_classes < 1:
+    if type(num_classes) is not int or num_classes < 1:
         raise DatasetError(f"{path}: num_classes must be a positive int")
 
     graphs: list[Graph] = []
@@ -139,7 +143,7 @@ def load_dataset(path) -> LabeledDataset:
             g = Graph(n, entry["edges"], entry["features"])
         except KeyError as exc:
             raise DatasetError(f"{path}: graph {k}: missing field {exc}") from exc
-        except (ShapeError, IndexError, ValueError, TypeError) as exc:
+        except (ShapeError, IndexError, ValueError, TypeError, OverflowError) as exc:
             raise DatasetError(f"{path}: graph {k}: {exc}") from exc
         if not np.isfinite(g.features).all():
             raise FormatError(f"{path}: graph {k}: features contain NaN or Inf")
@@ -149,10 +153,8 @@ def load_dataset(path) -> LabeledDataset:
         if task == "node":
             if "node_labels" not in entry:
                 raise DatasetError(f"{path}: graph {k}: node task needs node_labels")
-            try:
-                labels = np.asarray(entry["node_labels"], dtype=np.int64)
-            except (TypeError, ValueError) as exc:
-                raise DatasetError(f"{path}: graph {k}: node_labels: {exc}") from exc
+            labels = _class_ids(entry["node_labels"], num_classes,
+                                f"{path}: graph {k}: node_labels")
             if labels.shape != (n,):
                 raise DatasetError(
                     f"{path}: graph {k}: node labels of shape {labels.shape} for {n} nodes"
@@ -161,10 +163,8 @@ def load_dataset(path) -> LabeledDataset:
         else:
             if "graph_label" not in entry:
                 raise DatasetError(f"{path}: graph {k}: graph task needs graph_label")
-            try:
-                graph_labels.append(int(entry["graph_label"]))
-            except (TypeError, ValueError) as exc:
-                raise DatasetError(f"{path}: graph {k}: graph_label: {exc}") from exc
+            graph_labels.append(int(_class_ids([entry["graph_label"]], num_classes,
+                                               f"{path}: graph {k}: graph_label")[0]))
     if not graphs:
         raise DatasetError(f"{path}: container holds no graphs")
     if dropped:
@@ -176,6 +176,15 @@ def load_dataset(path) -> LabeledDataset:
     return LabeledDataset(graphs, num_classes,
                           graph_labels=np.asarray(graph_labels, dtype=np.int64),
                           load_stats=stats)
+
+
+def _class_ids(values, num_classes: int, where: str) -> np.ndarray:
+    """A JSON list of class ids as int64; each must be an int (not a
+    bool) in [0, num_classes), else ``DatasetError``."""
+    if not (isinstance(values, list)
+            and all(type(v) is int and 0 <= v < num_classes for v in values)):
+        raise DatasetError(f"{where}: expected class ids, ints in [0, {num_classes})")
+    return np.asarray(values, dtype=np.int64)
 
 
 def save_dataset(ds: LabeledDataset, path) -> None:

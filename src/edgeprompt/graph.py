@@ -1,10 +1,9 @@
 """CSR-encoded undirected graphs with node features.
 
 Graphs are stored as symmetric directed pairs: for every undirected edge
-{a, b} both (a, b) and (b, a) appear in the CSR arrays and share one
-stable ``edge_id``.  Self-loops are never stored (layers that need a
-self contribution add it themselves) and duplicate edges collapse at
-construction time.
+{a, b} both (a, b) and (b, a) appear in the CSR arrays.  Self-loops are
+never stored (layers that need a self contribution add it themselves)
+and duplicate edges collapse at construction time.
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ class Graph:
     offsets[i+1]]`` lists the neighbors of node i in ascending order.
     ``csr_owners`` is the matching row index per entry (so entry k is the
     directed pair owners[k] <- targets[k], a message from targets[k] into
-    owners[k]).  ``edge_ids[k]`` identifies the undirected edge the entry
-    came from; both directions share it.
+    owners[k]).
     """
 
     def __init__(self, num_nodes: int, edges, features):
@@ -63,22 +61,19 @@ class Graph:
         keys = unique_sorted(lo * np.int64(num_nodes) + hi)
         self.collapsed_duplicates = int(pairs.shape[0] - keys.shape[0])
 
-        m = keys.shape[0]
-        a, b = keys // num_nodes, keys % num_nodes
-        ids = np.arange(m, dtype=np.int64)
-        owners = np.concatenate([a, b])
-        targets = np.concatenate([b, a])
-        both_ids = np.concatenate([ids, ids])
-        order = np.argsort(owners * np.int64(num_nodes) + targets, kind="stable")
+        # both directions' keys, sorted, are the owner-major CSR entries
+        n = np.int64(num_nodes)
+        lo, hi = keys // n, keys % n
+        entries = np.sort(np.concatenate([keys, hi * n + lo]))
+        owners = entries // n
 
         self.num_nodes = int(num_nodes)
-        self.csr_targets = targets[order]
-        self.edge_ids = both_ids[order]
+        self.csr_targets = entries % n
         counts = np.bincount(owners, minlength=num_nodes)
         self.csr_offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        self.csr_owners = np.repeat(np.arange(num_nodes, dtype=np.int64), counts)
+        self.csr_owners = owners
         self.features = feats
-        self.num_edges = m
+        self.num_edges = int(keys.shape[0])
         self._adjacency: dict[str, Adjacency] = {}
 
     def adjacency(self, kind: str) -> "Adjacency":
@@ -99,10 +94,10 @@ class Graph:
         return np.diff(self.csr_offsets)
 
     def undirected_edges(self) -> np.ndarray:
-        """The m x 2 canonical (min, max) edge list, row k = edge_id k."""
+        """The m x 2 canonical (min, max) edge list, sorted: the entries
+        whose owner is below the target, already in that order."""
         keep = self.csr_owners < self.csr_targets
-        pairs = np.stack([self.csr_owners[keep], self.csr_targets[keep]], axis=1)
-        return pairs[np.argsort(self.edge_ids[keep])]
+        return np.stack([self.csr_owners[keep], self.csr_targets[keep]], axis=1)
 
     def has_edge(self, a: int, b: int) -> bool:
         lo, hi = self.csr_offsets[a], self.csr_offsets[a + 1]
@@ -202,8 +197,7 @@ def disjoint_union(graphs: list[Graph]) -> tuple[Graph, np.ndarray]:
     """Stack graphs block-diagonally.
 
     Returns the batched graph and an offset table of length len(graphs)+1;
-    nodes of source graph k occupy [offsets[k], offsets[k+1]).  Edge ids
-    are re-derived over the union and stay unique across the batch.
+    nodes of source graph k occupy [offsets[k], offsets[k+1]).
     """
     if not graphs:
         raise ValueError("disjoint_union: need at least one graph")

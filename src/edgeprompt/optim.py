@@ -1,4 +1,5 @@
-"""Adam optimizer for tape-watched parameters.
+"""Adam optimizer for tape-watched parameters, and the one guarded
+training step that every training loop takes.
 
 Defaults beta1=0.9, beta2=0.999, eps=1e-8, no weight decay; only the
 learning rate is a routinely-tuned knob here.
@@ -8,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
-from .tensor import Tensor
+from .errors import NonFiniteError, ShapeError
+from .tensor import Tape, Tensor
 
 
 class Adam:
@@ -55,3 +56,25 @@ class Adam:
             m_hat = self._m[i] / (1.0 - self.beta1 ** t)
             v_hat = self._v[i] / (1.0 - self.beta2 ** t)
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def train_step(opt: Adam, loss_fn, where: str) -> tuple[Tensor, float]:
+    """One optimizer step on ``loss_fn()``, built on a tape that watches
+    ``opt.params``; returns the loss and the gradient's L2 norm.
+
+    A NaN met on the way, or a loss or gradient that is not finite,
+    raises ``NonFiniteError`` prefixed with ``where`` (say "graphcl,
+    epoch 2 of 5") before any parameter changes.
+    """
+    with Tape() as tape:
+        tape.watch(*opt.params)
+        try:
+            loss = loss_fn()
+            grads = tape.backward(loss)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"{where}: {exc}") from exc
+        grads = [grads[p] for p in opt.params]
+        if not (np.isfinite(loss.item()) and all(np.isfinite(g).all() for g in grads)):
+            raise NonFiniteError(f"{where}: the loss or a gradient is not finite")
+        opt.step(grads)
+    return loss, float(np.sqrt(sum(np.sum(g * g) for g in grads)))

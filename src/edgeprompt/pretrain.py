@@ -9,8 +9,8 @@ Strategy tags (used in checkpoint metadata and on the CLI):
 * ``ep-graphprompt``: neighbor vs non-neighbor contrast on cosine similarity
 
 Node-task datasets are treated as one large graph (multi-graph inputs are
-disjoint-unioned first); contrastive batches over a single graph are built
-from multiple independently-seeded view pairs.
+disjoint-unioned first, by ``LabeledDataset.node_graph``), and so are
+graph datasets under the two edge-prediction strategies.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ from __future__ import annotations
 import numpy as np
 
 from .base import BaseEstimator, check_positive, check_unit_interval
-from .checkpoint import Checkpoint, checkpoint_from_model
+from .checkpoint import checkpoint_from_model
 from .data import LabeledDataset
 from .errors import ConfigError
 from .graph import Graph, disjoint_union, membership_from_offsets, unique_sorted
-from .models import GNNModel, classifier_forward, glorot_uniform, model_forward, readout
-from .optim import Adam
+from .models import GNNModel, glorot_uniform, model_forward, readout
+from .optim import Adam, train_step
 from . import tensor as T
-from .tensor import Tape, Tensor
+from .tensor import Tensor
 
 _DIAG_MASK = -1e9
 
@@ -166,18 +166,19 @@ def perturbed_copy(model: GNNModel, scale: float, rng) -> GNNModel:
     return clone
 
 
-def _as_single_graph(ds: LabeledDataset) -> Graph:
-    if len(ds.graphs) == 1:
-        return ds.graphs[0]
-    g, _ = disjoint_union(ds.graphs)
-    return g
-
-
 class _Pretrainer(BaseEstimator):
-    """Shared skeleton: build a fresh backbone, run the strategy loop,
-    freeze the result into ``checkpoint_``."""
+    """Shared skeleton: build a fresh backbone, train it for ``epochs``
+    through the guarded ``train_step``, freeze the result into
+    ``checkpoint_``.
+
+    A strategy's ``_prepare`` supplies its extra trainables, metadata
+    beyond the ``_recorded`` parameters, and a per-epoch source of
+    ``(weight, loss_fn)`` batches; an epoch's loss is the weighted mean
+    of its batches'.
+    """
 
     strategy = ""
+    _recorded: tuple[str, ...] = ()  # parameters kept in checkpoint metadata
 
     def fit(self, dataset: LabeledDataset) -> "_Pretrainer":
         if not dataset.graphs:
@@ -187,52 +188,72 @@ class _Pretrainer(BaseEstimator):
         dims = (dataset.feature_dim,) + (self.hidden_dim,) * self.num_layers
         model = GNNModel.create(self.model_kind, dims, seed=self.seed)
         rng = np.random.default_rng([int(self.seed), 0x9E7])
-        history, metadata = self._train(model, dataset, rng)
-        metadata = {"epochs": int(self.epochs), **metadata}
+        extra, metadata, batches = self._prepare(model, dataset, rng)
+        opt = Adam(model.parameters() + extra, lr=self.lr)
+        history = []
+        for epoch in range(self.epochs):
+            where = f"{self.strategy}, epoch {epoch + 1} of {self.epochs}"
+            losses, weights = [], []
+            for weight, loss_fn in batches():
+                loss, _ = train_step(opt, loss_fn, where)
+                losses.append(loss.item())
+                weights.append(weight)
+            history.append(float(np.average(losses, weights=weights)))
         self.model_ = model
         self.history_ = history
         self.checkpoint_ = checkpoint_from_model(
-            model, strategy=self.strategy, seed=self.seed, metadata=metadata
+            model, strategy=self.strategy, seed=self.seed,
+            metadata={"epochs": int(self.epochs),
+                      **{name: getattr(self, name) for name in self._recorded}, **metadata},
         )
         return self
 
-    def _train(self, model, dataset, rng):  # pragma: no cover - abstract
+    def _prepare(self, model, dataset, rng):  # pragma: no cover - abstract
         raise NotImplementedError
 
 
 class _ContrastivePretrainer(_Pretrainer):
-    """GraphCL / SimGRACE common loop: per-epoch batches of view pairs,
-    mean readout, shared projection head, NT-Xent."""
+    """GraphCL / SimGRACE: per-epoch batches of view pairs, mean readout,
+    shared projection head, NT-Xent.
 
-    def _train(self, model, dataset, rng):
+    On a node dataset each epoch is one batch of ``node_batch`` nodes of
+    the one graph (:meth:`_node_views`); on a graph dataset it is the
+    shuffled graphs in batches of ``batch_size``, dropping a batch of one
+    (:meth:`_graph_views`).  Either returns a function that builds the
+    two views' rows on the tape.
+    """
+
+    def _prepare(self, model, dataset, rng):
+        if dataset.task == "node" and self.node_batch < 2:
+            raise ConfigError("node_batch must be >= 2 for single-graph datasets")
+        if dataset.task == "graph" and min(self.batch_size, len(dataset.graphs)) < 2:
+            raise ConfigError(f"{self.strategy} needs batches of >= 2 graphs, got batch_size "
+                              f"{self.batch_size} over {len(dataset.graphs)} graph(s)")
         proj = ProjectionHead.create(rng, model.output_dim)
-        params = model.parameters() + proj.trainable()
-        opt = Adam(params, lr=self.lr)
-        history = []
-        for epoch in range(self.epochs):
-            losses, weights = [], []
-            for size, build_views in self._batches(model, dataset, rng):
-                with Tape() as tape:
-                    tape.watch(*params)
-                    z1, z2 = build_views()
-                    loss = ntxent_loss(proj(z1), proj(z2), self.temperature)
-                    grads = tape.backward(loss)
-                    opt.step([grads[p] for p in params])
-                losses.append(loss.item())
-                weights.append(size)
-            history.append(float(np.average(losses, weights=weights)))
-        return history, self._metadata()
+
+        def loss_of(build_views):
+            def loss_fn():
+                z1, z2 = build_views()
+                return ntxent_loss(proj(z1), proj(z2), self.temperature)
+            return loss_fn
+
+        def batches():
+            if dataset.task == "node":
+                size, build = self._node_views(model, dataset.node_graph(), rng)
+                yield size, loss_of(build)
+                return
+            order = rng.permutation(len(dataset.graphs))
+            for start in range(0, len(order), self.batch_size):
+                batch = [dataset.graphs[i] for i in order[start : start + self.batch_size]]
+                if len(batch) >= 2:
+                    yield len(batch), loss_of(self._graph_views(model, batch, rng))
+
+        return proj.trainable(), {}, batches
 
     def _embed(self, model, graphs):
         union, offsets = disjoint_union(graphs)
         h = model_forward(model, union)
         return readout(h, membership_from_offsets(offsets), "mean")
-
-    def _batches(self, model, dataset, rng):
-        raise NotImplementedError
-
-    def _metadata(self):
-        raise NotImplementedError
 
 
 class GraphCLPretrainer(_ContrastivePretrainer):
@@ -247,6 +268,7 @@ class GraphCLPretrainer(_ContrastivePretrainer):
     """
 
     strategy = "graphcl"
+    _recorded = ("drop_ratio", "perturb_ratio", "temperature")
 
     def __init__(self, model_kind: str = "gcn", num_layers: int = 2,
                  hidden_dim: int = 128, epochs: int = 100, lr: float = 1e-3,
@@ -265,49 +287,22 @@ class GraphCLPretrainer(_ContrastivePretrainer):
         self.node_batch = node_batch
         self.seed = seed
 
-    def _views(self, graphs, rng):
+    def _node_views(self, model, g, rng):
+        view_a, kept = _node_drop_view(
+            g, self.drop_ratio, np.random.default_rng([int(rng.integers(2**31)), 0xA06]))
+        view_b = augment_graph(g, "edge-perturb", self.perturb_ratio, int(rng.integers(2**31)))
+        batch = min(self.node_batch, kept.size)
+        anchors = np.sort(rng.choice(kept, size=batch, replace=False))
+        pos_a = np.searchsorted(kept, anchors)
+        return batch, lambda: (T.gather_rows(model_forward(model, view_a), pos_a),
+                               T.gather_rows(model_forward(model, view_b), anchors))
+
+    def _graph_views(self, model, graphs, rng):
         v1 = [augment_graph(g, "node-drop", self.drop_ratio, int(rng.integers(2**31)))
               for g in graphs]
         v2 = [augment_graph(g, "edge-perturb", self.perturb_ratio, int(rng.integers(2**31)))
               for g in graphs]
-        return v1, v2
-
-    def _batches(self, model, dataset, rng):
-        if dataset.task == "node":
-            if self.node_batch < 2:
-                raise ConfigError("node_batch must be >= 2 for single-graph datasets")
-            g = _as_single_graph(dataset)
-            view_a, kept = _node_drop_view(
-                g, self.drop_ratio, np.random.default_rng([int(rng.integers(2**31)), 0xA06]))
-            view_b = augment_graph(g, "edge-perturb", self.perturb_ratio,
-                                   int(rng.integers(2**31)))
-            batch = min(self.node_batch, kept.size)
-            anchors = np.sort(rng.choice(kept, size=batch, replace=False))
-            pos_a = np.searchsorted(kept, anchors)
-
-            def build():
-                h_a = model_forward(model, view_a)
-                h_b = model_forward(model, view_b)
-                return T.gather_rows(h_a, pos_a), T.gather_rows(h_b, anchors)
-
-            yield batch, build
-            return
-        order = rng.permutation(len(dataset.graphs))
-        for start in range(0, len(order), self.batch_size):
-            batch = [dataset.graphs[i] for i in order[start : start + self.batch_size]]
-            if len(batch) < 2:
-                continue
-            v1, v2 = self._views(batch, rng)
-            yield len(batch), lambda v1=v1, v2=v2: (
-                self._embed(model, v1), self._embed(model, v2)
-            )
-
-    def _metadata(self):
-        return {
-            "drop_ratio": self.drop_ratio,
-            "perturb_ratio": self.perturb_ratio,
-            "temperature": self.temperature,
-        }
+        return lambda: (self._embed(model, v1), self._embed(model, v2))
 
 
 class SimGRACEPretrainer(_ContrastivePretrainer):
@@ -320,6 +315,7 @@ class SimGRACEPretrainer(_ContrastivePretrainer):
     """
 
     strategy = "simgrace"
+    _recorded = ("noise_scale", "temperature")
 
     def __init__(self, model_kind: str = "gcn", num_layers: int = 2,
                  hidden_dim: int = 128, epochs: int = 100, lr: float = 1e-3,
@@ -336,34 +332,16 @@ class SimGRACEPretrainer(_ContrastivePretrainer):
         self.node_batch = node_batch
         self.seed = seed
 
-    def _batches(self, model, dataset, rng):
-        if dataset.task == "node":
-            if self.node_batch < 2:
-                raise ConfigError("node_batch must be >= 2 for single-graph datasets")
-            g = _as_single_graph(dataset)
-            twin = perturbed_copy(model, self.noise_scale, rng)
-            batch = min(self.node_batch, g.num_nodes)
-            anchors = np.sort(rng.choice(g.num_nodes, size=batch, replace=False))
+    def _node_views(self, model, g, rng):
+        twin = perturbed_copy(model, self.noise_scale, rng)
+        batch = min(self.node_batch, g.num_nodes)
+        anchors = np.sort(rng.choice(g.num_nodes, size=batch, replace=False))
+        return batch, lambda: (T.gather_rows(model_forward(model, g), anchors),
+                               T.gather_rows(model_forward(twin, g), anchors))
 
-            def build():
-                z1 = T.gather_rows(model_forward(model, g), anchors)
-                z2 = T.gather_rows(model_forward(twin, g), anchors)
-                return z1, z2
-
-            yield batch, build
-            return
-        order = rng.permutation(len(dataset.graphs))
-        for start in range(0, len(order), self.batch_size):
-            batch = [dataset.graphs[i] for i in order[start : start + self.batch_size]]
-            if len(batch) < 2:
-                continue
-            twin = perturbed_copy(model, self.noise_scale, rng)
-            yield len(batch), lambda batch=batch, twin=twin: (
-                self._embed(model, batch), self._embed(twin, batch)
-            )
-
-    def _metadata(self):
-        return {"noise_scale": self.noise_scale, "temperature": self.temperature}
+    def _graph_views(self, model, graphs, rng):
+        twin = perturbed_copy(model, self.noise_scale, rng)
+        return lambda: (self._embed(model, graphs), self._embed(twin, graphs))
 
 
 class LinkPredictionPretrainer(_Pretrainer):
@@ -375,6 +353,7 @@ class LinkPredictionPretrainer(_Pretrainer):
     """
 
     strategy = "ep-gppt"
+    _recorded = ("mask_ratio",)
 
     def __init__(self, model_kind: str = "gcn", num_layers: int = 2,
                  hidden_dim: int = 128, epochs: int = 100, lr: float = 1e-3,
@@ -387,9 +366,9 @@ class LinkPredictionPretrainer(_Pretrainer):
         self.mask_ratio = mask_ratio
         self.seed = seed
 
-    def _train(self, model, dataset, rng):
+    def _prepare(self, model, dataset, rng):
         check_unit_interval("mask_ratio", self.mask_ratio)
-        g = _as_single_graph(dataset)
+        g = dataset.node_graph()
         edges = g.undirected_edges()
         m = edges.shape[0]
         if m == 0:
@@ -400,27 +379,20 @@ class LinkPredictionPretrainer(_Pretrainer):
         visible[masked] = False
         train_graph = Graph(g.num_nodes, edges[visible], g.features)
         present = edges[:, 0] * np.int64(g.num_nodes) + edges[:, 1]
-        params = model.parameters()
-        opt = Adam(params, lr=self.lr)
         targets = np.concatenate([np.ones(m), np.zeros(m)])
-        history = []
-        for epoch in range(self.epochs):
-            neg = _sample_non_edges(rng, g.num_nodes, present, m)
-            pairs = np.concatenate([edges, neg])
-            with Tape() as tape:
-                tape.watch(*params)
+
+        def batches():
+            pairs = np.concatenate([edges, _sample_non_edges(rng, g.num_nodes, present, m)])
+
+            def loss_fn():
                 h = model_forward(model, train_graph)
                 scores = T.rowsum(T.mul(T.gather_rows(h, pairs[:, 0]),
                                         T.gather_rows(h, pairs[:, 1])))
-                loss = T.binary_cross_entropy_with_logits(scores, targets)
-                grads = tape.backward(loss)
-                opt.step([grads[p] for p in params])
-            history.append(loss.item())
-        metadata = {
-            "mask_ratio": self.mask_ratio,
-            "masked_edges": np.sort(masked).tolist(),
-        }
-        return history, metadata
+                return T.binary_cross_entropy_with_logits(scores, targets)
+
+            yield 1, loss_fn
+
+        return [], {"masked_edges": np.sort(masked).tolist()}, batches
 
 
 class NeighborContrastPretrainer(_Pretrainer):
@@ -433,6 +405,7 @@ class NeighborContrastPretrainer(_Pretrainer):
     """
 
     strategy = "ep-graphprompt"
+    _recorded = ("temperature",)
 
     def __init__(self, model_kind: str = "gcn", num_layers: int = 2,
                  hidden_dim: int = 128, epochs: int = 100, lr: float = 1e-3,
@@ -445,19 +418,17 @@ class NeighborContrastPretrainer(_Pretrainer):
         self.temperature = temperature
         self.seed = seed
 
-    def _train(self, model, dataset, rng):
+    def _prepare(self, model, dataset, rng):
         if self.temperature <= 0:
             raise ConfigError(f"temperature must be > 0, got {self.temperature}")
-        g = _as_single_graph(dataset)
+        g = dataset.node_graph()
         deg = g.degrees()
         anchors = np.flatnonzero((deg >= 1) & (deg < g.num_nodes - 1))
         if anchors.size == 0:
             raise ConfigError("no anchor node has both a neighbor and a non-neighbor")
-        params = model.parameters()
-        opt = Adam(params, lr=self.lr)
         labels = np.zeros(anchors.size, dtype=np.int64)
-        history = []
-        for epoch in range(self.epochs):
+
+        def batches():
             pos = np.empty(anchors.size, dtype=np.int64)
             neg = np.empty(anchors.size, dtype=np.int64)
             for k, a in enumerate(anchors):
@@ -469,18 +440,18 @@ class NeighborContrastPretrainer(_Pretrainer):
                     if cand != a and cand not in nbrs:
                         neg[k] = cand
                         break
-            with Tape() as tape:
-                tape.watch(*params)
+
+            def loss_fn():
                 hn = T.l2_normalize_rows(model_forward(model, g))
                 ha = T.gather_rows(hn, anchors)
                 s_pos = T.rowsum(T.mul(ha, T.gather_rows(hn, pos)))
                 s_neg = T.rowsum(T.mul(ha, T.gather_rows(hn, neg)))
                 logits = T.scale(T.concat_cols(s_pos, s_neg), 1.0 / self.temperature)
-                loss = T.cross_entropy_with_logits(logits, labels)
-                grads = tape.backward(loss)
-                opt.step([grads[p] for p in params])
-            history.append(loss.item())
-        return history, {"temperature": self.temperature}
+                return T.cross_entropy_with_logits(logits, labels)
+
+            yield 1, loss_fn
+
+        return [], {}, batches
 
 
 PRETRAINERS = {

@@ -49,7 +49,6 @@ class EdgePromptPlusParams:
         self.anchors = anchors
         self.score_weights = score_weights
         self.leaky_slope = leaky_slope
-        self.method = "edgeprompt" if score_weights is None else "edgeprompt+"
 
     @classmethod
     def shared(cls, input_dims) -> "EdgePromptPlusParams":
@@ -123,57 +122,44 @@ class EdgePromptPlusParams:
 
 
 class NodePromptParams:
-    """Feature-space prompts: GPF (one vector) and GPF-plus (scored basis)."""
+    """Feature-space prompts: GPF-plus, X + softmax(X S) B over a basis B.
+    Without ``score_map`` it is GPF, one basis vector p added to every
+    row (the softmax over one column is 1)."""
 
-    def __init__(self, variant: str, vector: Tensor | None = None,
-                 basis: Tensor | None = None, score_map: Tensor | None = None):
-        if variant not in ("gpf", "gpf-plus"):
-            raise ConfigError(f"unknown node-prompt variant {variant!r}")
-        self.variant = variant
-        self.method = variant
-        if variant == "gpf":
-            if vector is None:
-                raise ConfigError("gpf needs the prompt vector")
-            self.vector = vector
-            self.basis = self.score_map = None
-        else:
-            if basis is None or score_map is None:
-                raise ConfigError("gpf-plus needs basis and score_map")
-            if score_map.shape != (score_map.shape[0], basis.shape[0]):
-                raise ShapeError(
-                    f"score map {score_map.shape} vs basis {basis.shape}"
-                )
-            self.vector = None
-            self.basis = basis
-            self.score_map = score_map
+    def __init__(self, basis: Tensor, score_map: Tensor | None = None):
+        if score_map is None and basis.shape[0] != 1:
+            raise ShapeError(f"gpf needs one prompt vector, got basis {basis.shape}")
+        if score_map is not None and score_map.shape != (score_map.shape[0], basis.shape[0]):
+            raise ShapeError(f"score map {score_map.shape} vs basis {basis.shape}")
+        self.basis = basis
+        self.score_map = score_map
 
     @classmethod
-    def create(cls, variant: str, feature_dim: int, num_basis: int,
+    def shared(cls, feature_dim: int) -> "NodePromptParams":
+        """GPF: a zero prompt vector, no scores."""
+        return cls(Tensor.zeros(1, int(feature_dim)))
+
+    @classmethod
+    def create(cls, feature_dim: int, num_basis: int,
                rng: np.random.Generator) -> "NodePromptParams":
         d = int(feature_dim)
-        if variant == "gpf":
-            return cls("gpf", vector=Tensor.zeros(1, d))
-        return cls("gpf-plus", basis=Tensor.zeros(int(num_basis), d),
-                   score_map=Tensor(rng.uniform(-0.1, 0.1, size=(d, int(num_basis)))))
+        return cls(Tensor.zeros(int(num_basis), d),
+                   Tensor(rng.uniform(-0.1, 0.1, size=(d, int(num_basis)))))
 
     def trainable(self) -> list[Tensor]:
-        if self.variant == "gpf":
-            return [self.vector]
-        return [self.basis, self.score_map]
+        return [self.basis] + ([] if self.score_map is None else [self.score_map])
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
-        if self.variant == "gpf":
-            return [("prompt.vector", self.vector)]
+        if self.score_map is None:
+            return [("prompt.vector", self.basis)]
         return [("prompt.basis", self.basis), ("prompt.score_map", self.score_map)]
 
     def apply(self, x: Tensor) -> Tensor:
-        """Prompted features: X + 1·p̂, or X + softmax(X S) B for gpf-plus."""
-        if self.variant == "gpf":
-            if self.vector.shape[1] != x.shape[1]:
-                raise ShapeError(
-                    f"prompt width {self.vector.shape[1]} vs features {x.shape}"
-                )
-            return T.add_row(x, self.vector)
+        """Prompted features: X + 1·p for gpf, or X + softmax(X S) B."""
+        if self.score_map is None:
+            if self.basis.shape[1] != x.shape[1]:
+                raise ShapeError(f"prompt width {self.basis.shape[1]} vs features {x.shape}")
+            return T.add_row(x, self.basis)
         if self.score_map.shape[0] != x.shape[1]:
             raise ShapeError(
                 f"score map {self.score_map.shape} vs features {x.shape}"

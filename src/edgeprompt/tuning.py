@@ -20,13 +20,13 @@ import numpy as np
 from .base import BaseEstimator, check_is_fitted, check_positive
 from .checkpoint import Checkpoint, LearnedPrompts, build_model
 from .data import FewShotSplit, LabeledDataset
-from .errors import ConfigError, FormatError, NonFiniteError
+from .errors import ConfigError, FormatError
 from .graph import Graph, disjoint_union, membership_from_offsets
 from .models import GNNModel, LinearHead, classifier_forward, model_forward, readout
-from .optim import Adam
+from .optim import Adam, train_step
 from .prompts import EdgePromptPlusParams, NodePromptParams
 from . import tensor as T
-from .tensor import Tape, Tensor
+from .tensor import Tensor
 
 METHODS = ("edgeprompt", "edgeprompt+", "gpf", "gpf-plus", "classifier-only")
 
@@ -190,16 +190,10 @@ class PromptTuner(BaseEstimator):
         head = LinearHead.create(head_rng, model.output_dim, dataset.num_classes)
 
         trainable = ([] if prompts is None else prompts.trainable())
-        trainable = trainable + [t for _, t in head.parameters()]
-        opt = Adam(trainable, lr=self.lr)
+        opt = Adam(trainable + [t for _, t in head.parameters()], lr=self.lr)
         history = {"loss": [], "train_acc": [], "grad_norm": []}
-
-        if task == "node":
-            self._fit_node(model, prompts, head, dataset, train_ids, labels,
-                           trainable, opt, history)
-        else:
-            self._fit_graph(model, prompts, head, dataset, train_ids, labels,
-                            trainable, opt, history)
+        fit = self._fit_node if task == "node" else self._fit_graph
+        fit(model, prompts, head, dataset, train_ids, labels, opt, history)
 
         self.model_ = model
         self.prompts_ = prompts
@@ -210,31 +204,7 @@ class PromptTuner(BaseEstimator):
         self.split_ = split
         return self
 
-    def _step(self, epoch, trainable, opt, logits_fn, y):
-        """One optimizer step on the cross entropy of ``logits_fn()``;
-        returns the logits, the loss and the gradient's L2 norm.
-
-        A NaN met on the way, or a loss or gradient that is not finite,
-        raises ``NonFiniteError`` naming the method and epoch before any
-        parameter changes.
-        """
-        where = f"{self.method}, epoch {epoch + 1} of {self.epochs}"
-        with Tape() as tape:
-            tape.watch(*trainable)
-            try:
-                logits = logits_fn()
-                loss = T.cross_entropy_with_logits(logits, y)
-                grads = tape.backward(loss)
-            except NonFiniteError as exc:
-                raise NonFiniteError(f"{where}: {exc}") from exc
-            grads = [grads[t] for t in trainable]
-            if not (np.isfinite(loss.item()) and all(np.isfinite(g).all() for g in grads)):
-                raise NonFiniteError(f"{where}: the loss or a gradient is not finite")
-            opt.step(grads)
-        return logits, loss, float(np.sqrt(sum(np.sum(g * g) for g in grads)))
-
-    def _fit_node(self, model, prompts, head, dataset, train_ids, labels,
-                  trainable, opt, history):
+    def _fit_node(self, model, prompts, head, dataset, train_ids, labels, opt, history):
         g = dataset.node_graph()
         y = labels[train_ids]
         field = ReceptiveField(model, g, train_ids)
@@ -242,21 +212,30 @@ class PromptTuner(BaseEstimator):
         if prompts is None:
             # No prompts means the representations never change; compute once.
             frozen_reps = prompted_representations(model, g, None, field).data
+        logits = None
 
-        def logits_fn():
-            if frozen_reps is not None:
-                return classifier_forward(head, Tensor(frozen_reps))
-            return classifier_forward(head, prompted_representations(model, g, prompts, field))
+        def loss_fn():
+            nonlocal logits
+            reps = (Tensor(frozen_reps) if frozen_reps is not None
+                    else prompted_representations(model, g, prompts, field))
+            logits = classifier_forward(head, reps)
+            return T.cross_entropy_with_logits(logits, y)
 
         for epoch in range(self.epochs):
-            logits, loss, grad_norm = self._step(epoch, trainable, opt, logits_fn, y)
+            loss, grad_norm = train_step(opt, loss_fn, self._where(epoch))
             history["loss"].append(loss.item())
             history["train_acc"].append(float(np.mean(np.argmax(logits.data, axis=1) == y)))
             history["grad_norm"].append(grad_norm)
 
-    def _fit_graph(self, model, prompts, head, dataset, train_ids, labels,
-                   trainable, opt, history):
+    def _fit_graph(self, model, prompts, head, dataset, train_ids, labels, opt, history):
         batch_rng = np.random.default_rng([int(self.seed), 0xBA7C])
+        logits = None
+
+        def loss_fn():  # on the current batch's graphs and labels
+            nonlocal logits
+            logits = _graph_logits(model, prompts, head, graphs, self.readout)
+            return T.cross_entropy_with_logits(logits, y)
+
         for epoch in range(self.epochs):
             order = train_ids[batch_rng.permutation(train_ids.size)]
             losses, norms, sizes, correct = [], [], [], 0
@@ -264,9 +243,7 @@ class PromptTuner(BaseEstimator):
                 batch = order[start : start + self.batch_size]
                 graphs = [dataset.graphs[i] for i in batch]
                 y = labels[batch]
-                logits, loss, grad_norm = self._step(
-                    epoch, trainable, opt,
-                    lambda: _graph_logits(model, prompts, head, graphs, self.readout), y)
+                loss, grad_norm = train_step(opt, loss_fn, self._where(epoch))
                 losses.append(loss.item())
                 norms.append(grad_norm)
                 sizes.append(batch.size)
@@ -274,6 +251,9 @@ class PromptTuner(BaseEstimator):
             history["loss"].append(float(np.average(losses, weights=sizes)))
             history["train_acc"].append(correct / order.size)
             history["grad_norm"].append(float(np.average(norms, weights=sizes)))
+
+    def _where(self, epoch: int) -> str:
+        return f"{self.method}, epoch {epoch + 1} of {self.epochs}"
 
     # ------------------------------------------------------------------
 
@@ -321,8 +301,10 @@ def _new_prompts(method: str, model: GNNModel, counts: list[int],
         return EdgePromptPlusParams.shared(model.dims[:-1])
     if method == "edgeprompt+":
         return EdgePromptPlusParams.create(model.dims[:-1], counts, rng, leaky_slope)
-    if method in ("gpf", "gpf-plus"):
-        return NodePromptParams.create(method, model.input_dim, counts[0], rng)
+    if method == "gpf":
+        return NodePromptParams.shared(model.input_dim)
+    if method == "gpf-plus":
+        return NodePromptParams.create(model.input_dim, counts[0], rng)
     raise ConfigError(f"unknown tuning method {method!r}; choose from {METHODS}")
 
 

@@ -108,8 +108,8 @@ def test_criterion_1_full_tuning_loss_gradients(small_node_ds):
     families = {
         "edgeprompt": EdgePromptPlusParams.shared(model.dims[:-1]),
         "edgeprompt+": EdgePromptPlusParams.create(model.dims[:-1], 3, rng),
-        "gpf": NodePromptParams.create("gpf", 3, 1, rng),
-        "gpf-plus": NodePromptParams.create("gpf-plus", 3, 2, rng),
+        "gpf": NodePromptParams.shared(3),
+        "gpf-plus": NodePromptParams.create(3, 2, rng),
     }
     # non-zero prompt state so the loss actually depends on every tensor
     for fam in families.values():

@@ -92,6 +92,15 @@ class TestCheckpointValidation:
         with pytest.raises(FormatError, match="gin"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected_by_name(self, tmp_path, bad):
+        ckpt = make_checkpoint()
+        ckpt.tensors["layers.1.weight"][2, 0] = bad
+        path = tmp_path / "ck.bin"
+        save_checkpoint(ckpt, path)
+        with pytest.raises(FormatError, match=r"'layers\.1\.weight' contains NaN or Inf"):
+            load_checkpoint(path)
+
     def test_build_model_reproduces_tensors(self):
         ckpt = make_checkpoint(kind="gin", dims=(2, 3))
         model = build_model(ckpt)

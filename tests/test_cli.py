@@ -3,7 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from edgeprompt.checkpoint import load_checkpoint, load_prompts, save_prompts, serialize_checkpoint
+from edgeprompt.checkpoint import (
+    load_checkpoint,
+    load_prompts,
+    save_checkpoint,
+    save_prompts,
+)
 from edgeprompt.cli import main
 from edgeprompt.data import save_dataset
 
@@ -69,6 +74,15 @@ class TestPretrainCommand:
                        node_ds_path, "--out", str(tmp_path / f"{strategy}.bin"),
                        "--hidden", "8", "--epochs", "2"])
             assert rc == 0
+
+    def test_divergence_exits_1_without_a_checkpoint(self, node_ds_path, tmp_path, capsys):
+        out = tmp_path / "diverged.bin"
+        rc = main(["pretrain", "--strategy", "ep-gppt", "--dataset", node_ds_path,
+                   "--out", str(out), "--hidden", "8", "--epochs", "3", "--lr", "1e300"])
+        assert rc == 1
+        assert "ep-gppt, epoch 2 of 3: the loss or a gradient is not finite" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
     def test_missing_dataset_is_usage_error(self, tmp_path):
         rc = main(["pretrain", "--strategy", "graphcl", "--dataset",
@@ -238,6 +252,23 @@ class TestEvalCommand:
                    "--prompts", broken])
         assert rc == 1
         assert "'head.bias'" in capsys.readouterr().err
+
+
+    def test_non_finite_checkpoint_exits_1_naming_the_tensor(self, node_ds_path, ckpt_path,
+                                                              tmp_path, capsys):
+        assert run_tune(node_ds_path, ckpt_path, tmp_path) == 0
+        prompt_path = str(next(tmp_path.glob("*.prompts")))
+        ckpt = load_checkpoint(ckpt_path)
+        ckpt.tensors["layers.0.bias"][0, 1] = np.nan
+        broken = str(tmp_path / "nan.bin")
+        save_checkpoint(ckpt, broken)
+        for argv in (["tune", "--dataset", node_ds_path, "--checkpoint", broken,
+                      "--method", "gpf", "--epochs", "1", "--seeds", "0",
+                      "--out-dir", str(tmp_path / "tuned")],
+                     ["eval", "--dataset", node_ds_path, "--checkpoint", broken,
+                      "--prompts", prompt_path]):
+            assert main(argv) == 1, argv[0]
+            assert "'layers.0.bias' contains NaN or Inf" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

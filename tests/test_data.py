@@ -89,6 +89,39 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="graph 0: graph_label"):
             load_dataset(write_container(tmp_path, payload))
 
+    # Found by tests/test_fuzz_dataset.py: each once escaped as a bare
+    # OverflowError (ints past int64, an infinite label) or
+    # UnicodeDecodeError; float labels were truncated to ints.
+    @pytest.mark.parametrize("labels", [[0, 2**63], [0, 1e300], [0, 1.5], [0, True]])
+    def test_node_labels_must_be_class_ids(self, tmp_path, labels):
+        payload = tiny_node_container()
+        payload["graphs"][0]["node_labels"] = labels
+        with pytest.raises(DatasetError, match="graph 0: node_labels: expected class ids"):
+            load_dataset(write_container(tmp_path, payload))
+
+    @pytest.mark.parametrize("label", [2**63, float("inf"), 1.5, "1", True, 2])
+    def test_graph_label_must_be_a_class_id(self, tmp_path, label):
+        payload = tiny_node_container()
+        payload["task"] = "graph"
+        entry = payload["graphs"][0]
+        del entry["node_labels"]
+        entry["graph_label"] = label
+        with pytest.raises(DatasetError, match="graph 0: graph_label: expected class ids"):
+            load_dataset(write_container(tmp_path, payload))
+
+    def test_edge_endpoint_past_int64_names_the_graph(self, tmp_path):
+        payload = tiny_node_container()
+        payload["graphs"][0]["edges"] = [[0, 2**63]]
+        with pytest.raises(DatasetError, match="graph 0"):
+            load_dataset(write_container(tmp_path, payload))
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        raw = json.dumps(tiny_node_container()).encode("utf-8")
+        path.write_bytes(raw.replace(b"node", b"n\xffde", 1))
+        with pytest.raises(DatasetError, match="not UTF-8"):
+            load_dataset(path)
+
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"num_classes": 2,\n  "task": }')

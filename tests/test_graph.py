@@ -42,15 +42,6 @@ class TestGraphConstruction:
         assert g.num_edges == 1
         assert g.dropped_self_loops == 2
 
-    def test_both_directions_share_edge_id(self):
-        g = Graph(4, [(0, 2), (1, 3), (0, 1)], np.zeros((4, 1)))
-        by_pair = {}
-        for k in range(g.num_directed_edges):
-            i, j = int(g.csr_owners[k]), int(g.csr_targets[k])
-            by_pair[(i, j)] = int(g.edge_ids[k])
-        for (i, j), eid in by_pair.items():
-            assert by_pair[(j, i)] == eid
-
     def test_out_of_range_endpoint(self):
         with pytest.raises(IndexError):
             Graph(2, [(0, 5)], np.zeros((2, 1)))
@@ -70,14 +61,26 @@ class TestGraphConstruction:
     @settings(max_examples=30, deadline=None)
     def test_csr_symmetry(self, seed, n):
         g = random_graph(np.random.default_rng(seed), n)
-        # reverse lookup of every stored edge succeeds and shares edge_id
-        ids = {}
-        for k in range(g.num_directed_edges):
-            ids[(int(g.csr_owners[k]), int(g.csr_targets[k]))] = int(g.edge_ids[k])
-        for (i, j), eid in ids.items():
-            assert ids[(j, i)] == eid
+        # reverse lookup of every stored edge succeeds
+        pairs = set(zip(g.csr_owners.tolist(), g.csr_targets.tolist()))
+        assert len(pairs) == g.num_directed_edges
+        assert all((j, i) in pairs for i, j in pairs)
         degs = g.degrees()
         assert degs.sum() == g.num_directed_edges
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(0, 40))
+    @settings(max_examples=30, deadline=None)
+    def test_csr_and_edge_list_match_a_sorted_reference(self, seed, n, m):
+        r = np.random.default_rng(seed)
+        edges = r.integers(0, n, size=(m, 2))
+        g = Graph(n, edges, np.zeros((n, 1)))
+        canon = sorted({(min(a, b), max(a, b)) for a, b in edges.tolist() if a != b})
+        np.testing.assert_array_equal(g.undirected_edges(), np.reshape(canon, (-1, 2)))
+        both = sorted(canon + [(b, a) for a, b in canon])
+        np.testing.assert_array_equal(g.csr_owners, [a for a, _ in both])
+        np.testing.assert_array_equal(g.csr_targets, [b for _, b in both])
+        np.testing.assert_array_equal(g.csr_offsets,
+                                      np.searchsorted(g.csr_owners, np.arange(n + 1)))
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 300), st.integers(1, 50))
     @settings(max_examples=30, deadline=None)
@@ -219,10 +222,6 @@ class TestDisjointUnion:
         assert u.num_edges == 2
         assert not u.has_edge(0, 2) and not u.has_edge(1, 3)
         np.testing.assert_array_equal(offsets, [0, 2, 4])
-
-    def test_edge_ids_unique_across_batch(self):
-        u, _ = disjoint_union([line_graph(3), line_graph(4)])
-        assert len(np.unique(u.edge_ids)) == u.num_edges
 
     def test_feature_dim_mismatch(self):
         with pytest.raises(ShapeError):

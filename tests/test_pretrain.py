@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,10 @@ from hypothesis import strategies as st
 
 from edgeprompt.checkpoint import serialize_checkpoint
 from edgeprompt.data import CSBMParams, LabeledDataset, csbm_graph_dataset
-from edgeprompt.errors import ConfigError
+from edgeprompt.errors import ConfigError, NonFiniteError
 from edgeprompt.graph import Graph
 from edgeprompt.pretrain import (
+    PRETRAINERS,
     GraphCLPretrainer,
     LinkPredictionPretrainer,
     NeighborContrastPretrainer,
@@ -261,6 +264,29 @@ class TestNeighborContrast:
         ds = two_cliques()
         mk = lambda: NeighborContrastPretrainer(hidden_dim=8, epochs=3, seed=6).fit(ds)
         assert serialize_checkpoint(mk().checkpoint_) == serialize_checkpoint(mk().checkpoint_)
+
+
+@pytest.mark.parametrize("task", ["node", "graph"])
+@pytest.mark.parametrize("strategy", sorted(PRETRAINERS))
+def test_divergence_stops_naming_strategy_and_epoch(strategy, task):
+    ds = two_cliques() if task == "node" else tiny_graph_dataset(6)
+    est = PRETRAINERS[strategy](hidden_dim=8, epochs=5, lr=1e300, seed=0)
+    if task == "graph" and hasattr(est, "batch_size"):
+        est.set_params(batch_size=3)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteError, match=rf"^{re.escape(strategy)}, epoch \d of 5: "):
+            est.fit(ds)
+    assert not hasattr(est, "checkpoint_")
+
+
+@pytest.mark.parametrize("cls", [GraphCLPretrainer, SimGRACEPretrainer])
+@pytest.mark.parametrize("num_graphs,batch_size", [(1, 8), (4, 1), (4, 0)])
+def test_contrastive_graph_batches_of_one_rejected(cls, num_graphs, batch_size):
+    # no batch of two graphs once ended in a ZeroDivisionError (or a
+    # ValueError from range() for batch_size 0)
+    est = cls(hidden_dim=4, epochs=1, batch_size=batch_size)
+    with pytest.raises(ConfigError, match="batches of >= 2 graphs"):
+        est.fit(tiny_graph_dataset(num_graphs))
 
 
 def test_get_params_roundtrip():

@@ -154,27 +154,30 @@ class TestEdgePromptPlusMaterialization:
 class TestNodePrompts:
     def test_zero_gpf_is_identity(self, rng):
         x = rng.uniform(-1, 1, (5, 3))
-        params = NodePromptParams.create("gpf", 3, 1, rng)
+        params = NodePromptParams.shared(3)
         np.testing.assert_array_equal(params.apply(Tensor(x)).data, x)
 
     def test_gpf_adds_vector_to_every_row(self, rng):
         x = rng.uniform(-1, 1, (4, 2))
-        params = NodePromptParams("gpf", vector=Tensor([[1.0, -2.0]]))
+        params = NodePromptParams(Tensor([[1.0, -2.0]]))
         np.testing.assert_allclose(params.apply(Tensor(x)).data,
                                    x + np.array([1.0, -2.0]), atol=1e-15)
+
+    def test_gpf_has_one_vector(self):
+        with pytest.raises(ShapeError, match="one prompt vector"):
+            NodePromptParams(Tensor.zeros(2, 3))
 
     def test_gpf_plus_single_basis_reduces_to_gpf(self, rng):
         x = rng.uniform(-1, 1, (5, 3))
         row = rng.uniform(-1, 1, (1, 3))
-        plus = NodePromptParams("gpf-plus", basis=Tensor(row.copy()),
-                                score_map=Tensor(rng.uniform(-1, 1, (3, 1))))
-        gpf = NodePromptParams("gpf", vector=Tensor(row.copy()))
+        plus = NodePromptParams(Tensor(row.copy()), Tensor(rng.uniform(-1, 1, (3, 1))))
+        gpf = NodePromptParams(Tensor(row.copy()))
         np.testing.assert_allclose(plus.apply(Tensor(x)).data,
                                    gpf.apply(Tensor(x)).data, atol=1e-15)
 
     def test_gpf_plus_matches_formula(self, rng):
         x = rng.uniform(-1, 1, (4, 3))
-        params = NodePromptParams.create("gpf-plus", 3, 2, rng)
+        params = NodePromptParams.create(3, 2, rng)
         params.basis.data[:] = rng.uniform(-1, 1, (2, 3))
         s, b = params.score_map.data, params.basis.data
         z = x @ s
@@ -184,7 +187,7 @@ class TestNodePrompts:
                                    atol=1e-12)
 
     def test_dimension_mismatch(self, rng):
-        params = NodePromptParams.create("gpf", 3, 1, rng)
+        params = NodePromptParams.shared(3)
         with pytest.raises(ShapeError):
             params.apply(Tensor(np.zeros((2, 4))))
 
@@ -206,8 +209,8 @@ def test_prompted_forward_gradients_match_finite_differences(rng):
     families = [
         EdgePromptPlusParams.shared([3, 4]),
         EdgePromptPlusParams.create([3, 4], 2, rng),
-        NodePromptParams.create("gpf", 3, 1, rng),
-        NodePromptParams.create("gpf-plus", 3, 2, rng),
+        NodePromptParams.shared(3),
+        NodePromptParams.create(3, 2, rng),
     ]
     for fam in families:
         params = fam.trainable()
