@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import inspect
 
+import numpy as np
+
 from .errors import ConfigError, NotFittedError
 
 
@@ -54,10 +56,19 @@ def check_is_fitted(estimator, *attributes: str) -> None:
 
 
 def check_positive(name: str, value) -> None:
-    if value is None or value <= 0:
-        raise ConfigError(f"{name} must be positive, got {value}")
+    """``value`` must be a finite number above 0 (not None, NaN or inf)."""
+    if value is None or not 0 < value < float("inf"):
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 
 def check_unit_interval(name: str, value) -> None:
     if not 0.0 <= value <= 1.0:
         raise ConfigError(f"{name} must be in [0, 1], got {value}")
+
+
+def seeded_rng(seed, *stream: int) -> np.random.Generator:
+    """The generator of one named stream under a user seed; the seed must
+    be a non-negative int, else ``ConfigError``."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng([int(seed), *stream])

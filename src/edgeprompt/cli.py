@@ -1,9 +1,10 @@
 """Command-line entry point: pretrain, tune, eval, verify, gen-csbm.
 
 Config precedence is flags > config file > built-in defaults.  The config
-file is flat ``key=value`` text with keys matching flag names (hyphens or
-underscores).  One environment variable, ``EDGEPROMPT_OUTPUT_ROOT``,
-selects the root that relative output paths are resolved under.
+file is flat ``key=value`` text; each line is the flag ``--key=value``
+(underscores read as hyphens), parsed with the command line.  One
+environment variable, ``EDGEPROMPT_OUTPUT_ROOT``, selects the root that
+relative output paths are resolved under.
 
 Exit status: 0 success, 1 runtime failure (including failed verification),
 2 usage or configuration errors.
@@ -87,8 +88,9 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}") from exc
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _load_config_file(path: str) -> list[str]:
+    """The config file's ``key=value`` lines as the flags ``--key=value``."""
+    flags = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -98,28 +100,10 @@ def _load_config_file(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, value = line.split("=", 1)
-                values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
+                flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return values
-
-
-def _apply_config(parser: argparse.ArgumentParser, config: dict[str, str]) -> None:
-    """Install config-file values as parser defaults, with type conversion."""
-    converters = {}
-    known = set()
-    for action in parser._actions:
-        if action.dest and action.dest != "help":
-            known.add(action.dest)
-            converters[action.dest] = action.type
-    unknown = set(config) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    defaults = {}
-    for key, value in config.items():
-        conv = converters.get(key)
-        defaults[key] = conv(value) if conv else value
-    parser.set_defaults(**defaults)
+    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -145,16 +129,6 @@ def _cmd_pretrain(args) -> int:
     return 0
 
 
-def _tune_one(ckpt, ds, method, shots, anchors, args, seed):
-    split = kshot_sample(ds, shots, seed=seed)
-    tuner = PromptTuner(ckpt, method=method, epochs=args.epochs, lr=args.lr,
-                        batch_size=args.batch_size, anchors=anchors,
-                        readout=args.readout, seed=seed)
-    tuner.fit(ds, split)
-    test_acc = tuner.score(ds, split.test_ids) if split.test_ids.size else None
-    return tuner, split, test_acc
-
-
 def _cmd_tune(args) -> int:
     ds = load_dataset(args.dataset)
     if args.task and args.task != ds.task:
@@ -175,8 +149,11 @@ def _cmd_tune(args) -> int:
     for anchors in anchor_counts:
         seed_entries = []
         for seed in args.seeds:
-            tuner, split, test_acc = _tune_one(
-                ckpt, ds, args.method, args.shots, anchors, args, seed)
+            split = kshot_sample(ds, args.shots, seed=seed)
+            tuner = PromptTuner(ckpt, method=args.method, epochs=args.epochs, lr=args.lr,
+                                batch_size=args.batch_size, anchors=anchors,
+                                readout=args.readout, seed=seed).fit(ds, split)
+            test_acc = tuner.score(ds, split.test_ids) if split.test_ids.size else None
             entry = {
                 "seed": seed,
                 "train_acc": tuner.history_["train_acc"][-1],
@@ -262,11 +239,18 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _class_means(dim: int, separation: float) -> tuple[np.ndarray, np.ndarray]:
+    """CSBM class means +-separation/2 on the first of ``dim`` axes."""
+    if dim < 1:
+        raise ConfigError(f"feature dim must be >= 1, got {dim}")
+    mu1, mu2 = np.zeros(dim), np.zeros(dim)
+    mu1[0], mu2[0] = separation / 2.0, -separation / 2.0
+    return mu1, mu2
+
+
 def _cmd_verify(args) -> int:
     if args.theorem == "theorem1":
-        mu1 = np.zeros(2)
-        mu2 = np.zeros(2)
-        mu1[0], mu2[0] = args.separation / 2.0, -args.separation / 2.0
+        mu1, mu2 = _class_means(2, args.separation)
         params = CSBMParams(mu1, mu2, p=args.p, q=args.q, n_per_class=args.nodes)
         witness = theorem1_construct_witness(params, args.T)
         report = theorem1_verify(params, witness, n_nodes=args.nodes,
@@ -303,9 +287,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen_csbm(args) -> int:
-    mu1 = np.zeros(args.feature_dim)
-    mu2 = np.zeros(args.feature_dim)
-    mu1[0], mu2[0] = args.separation / 2.0, -args.separation / 2.0
+    mu1, mu2 = _class_means(args.feature_dim, args.separation)
     params = CSBMParams(mu1, mu2, p=args.p, q=args.q, n_per_class=args.n_per_class)
     if args.task == "node":
         ds = csbm_node_dataset(params, seed=args.seed)
@@ -431,8 +413,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if getattr(args, "config", None):
-            target = _find_subparser(parser, argv)
-            _apply_config(target, _load_config_file(args.config))
+            # config flags go before the subcommand's first flag, so every
+            # command-line flag comes later and wins
+            first = next(i for i, token in enumerate(argv) if token.startswith("-"))
+            argv[first:first] = _load_config_file(args.config)
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:
@@ -444,21 +428,6 @@ def main(argv=None) -> int:
     except (EdgePromptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _find_subparser(parser: argparse.ArgumentParser, argv) -> argparse.ArgumentParser:
-    """The (possibly nested) subparser the argv selects."""
-    current = parser
-    rest = argv
-    while rest:
-        token = rest[0]
-        actions = [a for a in current._actions
-                   if isinstance(a, argparse._SubParsersAction)]
-        if not actions or token not in actions[0].choices:
-            break
-        current = actions[0].choices[token]
-        rest = rest[1:]
-    return current
 
 
 if __name__ == "__main__":

@@ -29,7 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DatasetError, FormatError, InsufficientDataError, ShapeError
+from .base import seeded_rng
+from .errors import (ConfigError, DatasetError, FormatError, InsufficientDataError,
+                     ShapeError)
 from .graph import Graph, disjoint_union
 
 logger = logging.getLogger(__name__)
@@ -91,10 +93,6 @@ class LabeledDataset:
         return self._node_graph
 
     @property
-    def num_instances(self) -> int:
-        return int(self.all_labels().shape[0])
-
-    @property
     def feature_dim(self) -> int:
         return self.graphs[0].feature_dim
 
@@ -140,7 +138,7 @@ def load_dataset(path) -> LabeledDataset:
             raise DatasetError(f"{path}: graph {k}: unknown keys {sorted(unknown)}")
         try:
             n = entry["num_nodes"]
-            g = Graph(n, entry["edges"], entry["features"])
+            g = Graph(n, _edge_pairs(entry["edges"]), entry["features"])
         except KeyError as exc:
             raise DatasetError(f"{path}: graph {k}: missing field {exc}") from exc
         except (ShapeError, IndexError, ValueError, TypeError, OverflowError) as exc:
@@ -187,6 +185,25 @@ def _class_ids(values, num_classes: int, where: str) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
+def _edge_pairs(edges) -> np.ndarray:
+    """A JSON list of [i, j] node ids as an E x 2 int64 array; each id
+    must be an int (not a bool), else ``DatasetError``.  ``Graph``
+    checks the range."""
+    if edges == []:
+        return np.zeros((0, 2), dtype=np.int64)
+    try:
+        pairs = np.asarray(edges if isinstance(edges, list) else None)
+    except ValueError:  # rows of different lengths
+        pairs = np.asarray(None)
+    ok = pairs.dtype.kind == "i" and pairs.shape[1:] == (2,)
+    # numpy reads true and false among ints as 1 and 0, so only rows
+    # holding a 0 or 1 need a look at the JSON values
+    suspects = np.flatnonzero(((pairs == 0) | (pairs == 1)).any(axis=1)) if ok else []
+    if not ok or any(type(v) is bool for k in suspects for v in edges[k]):
+        raise DatasetError("edges must be [i, j] pairs of int node ids")
+    return pairs
+
+
 def save_dataset(ds: LabeledDataset, path) -> None:
     payload = {"num_classes": ds.num_classes, "task": ds.task, "graphs": []}
     for k, g in enumerate(ds.graphs):
@@ -224,7 +241,7 @@ def kshot_sample(ds: LabeledDataset, k: int, seed: int) -> FewShotSplit:
     if k < 0:
         raise InsufficientDataError(f"shots must be >= 0, got {k}")
     labels = ds.all_labels()
-    rng = np.random.default_rng([int(seed), 0x5E17])
+    rng = seeded_rng(seed, 0x5E17)
     train: list[np.ndarray] = []
     for c in range(ds.num_classes):
         members = np.flatnonzero(labels == c)
@@ -263,16 +280,18 @@ class CSBMParams:
         self.mu1 = np.asarray(self.mu1, dtype=np.float64).reshape(-1)
         self.mu2 = np.asarray(self.mu2, dtype=np.float64).reshape(-1)
         if self.mu1.shape != self.mu2.shape:
-            raise ShapeError(
+            raise ConfigError(
                 f"mu1/mu2 dims differ: {self.mu1.shape} vs {self.mu2.shape}"
             )
+        if not (np.isfinite(self.mu1).all() and np.isfinite(self.mu2).all()):
+            raise ConfigError("CSBM means must be finite")
         if np.array_equal(self.mu1, self.mu2):
-            raise ValueError("CSBM needs mu1 != mu2")
+            raise ConfigError("CSBM needs mu1 != mu2")
         for name, v in (("p", self.p), ("q", self.q)):
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+                raise ConfigError(f"{name} must be in [0, 1], got {v}")
         if self.n_per_class < 1:
-            raise ValueError("n_per_class must be >= 1")
+            raise ConfigError(f"n_per_class must be >= 1, got {self.n_per_class}")
 
 
 def _block_pairs(rng, rows, cols, prob, triangular):
@@ -291,7 +310,7 @@ def csbm_generate(params: CSBMParams, seed: int) -> tuple[Graph, np.ndarray]:
     Draw order is fixed (class-1 block, class-2 block, cross block, then
     features) so a seed pins the sample exactly.
     """
-    rng = np.random.default_rng([int(seed), 0xC5B3])
+    rng = seeded_rng(seed, 0xC5B3)
     n = params.n_per_class
     blocks = []
     intra1 = _block_pairs(rng, n, n, params.p, triangular=True)
@@ -327,6 +346,8 @@ def csbm_graph_dataset(params_class0: CSBMParams, params_class1: CSBMParams,
     Graphs alternate between the two regimes so both classes get
     ceil/floor(num_graphs / 2) instances.
     """
+    if num_graphs < 1:
+        raise ConfigError(f"num_graphs must be >= 1, got {num_graphs}")
     graphs: list[Graph] = []
     labels: list[int] = []
     for k in range(num_graphs):

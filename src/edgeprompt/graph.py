@@ -53,7 +53,8 @@ class Graph:
 
         loops = pairs[:, 0] == pairs[:, 1]
         self.dropped_self_loops = int(loops.sum())
-        pairs = pairs[~loops]
+        if self.dropped_self_loops:  # no E x 2 copy of loop-free input
+            pairs = pairs[~loops]
         # dedup and sort via packed integer keys; much faster than
         # row-wise unique/lexsort on large edge lists
         lo = np.minimum(pairs[:, 0], pairs[:, 1])
@@ -118,8 +119,8 @@ class Adjacency:
     are sorted and ``offsets`` is the CSR row table; ``counts`` (entries
     per node, 0 for isolated nodes), ``rows`` (nodes with entries) and
     ``starts`` (their first entries) are the layout that
-    ``tensor.propagate``, ``edge_sum`` and ``edge_softmax_sum`` expand
-    and reduce with.  :meth:`restrict` cuts the operator down to the
+    ``tensor.propagate`` and ``edge_softmax_sum`` expand and reduce
+    with.  :meth:`restrict` cuts the operator down to the
     receptive field of some rows.
     """
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .base import seeded_rng
 from .errors import ConfigError, ShapeError
 from .graph import Adjacency, Graph
 from . import tensor as T
@@ -42,28 +43,38 @@ class GCNLayer:
         return [("weight", self.weight), ("bias", self.bias)]
 
 
+class MLP:
+    """Two affine maps with a ReLU between: relu(x W1 + b1) W2 + b2."""
+
+    def __init__(self, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
+        self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
+
+    @classmethod
+    def create(cls, rng, d_in: int, d_out: int) -> "MLP":
+        return cls(glorot_uniform(rng, d_in, d_out), Tensor.zeros(1, d_out),
+                   glorot_uniform(rng, d_out, d_out), Tensor.zeros(1, d_out))
+
+    def parameters(self):
+        return [("0.weight", self.w1), ("0.bias", self.b1),
+                ("1.weight", self.w2), ("1.bias", self.b2)]
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return T.add_row(T.relu(T.add_row(T.matmul(x, self.w1), self.b1)) @ self.w2, self.b2)
+
+
 class GINLayer:
     """Sum aggregation with a fixed epsilon self term and a 2-layer MLP."""
 
-    def __init__(self, epsilon: float, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
+    def __init__(self, epsilon: float, mlp: MLP):
         self.epsilon = epsilon
-        self.w1, self.b1 = w1, b1
-        self.w2, self.b2 = w2, b2
+        self.mlp = mlp
 
     @classmethod
     def create(cls, rng, d_in: int, d_out: int, epsilon: float = 0.0) -> "GINLayer":
-        return cls(
-            epsilon,
-            glorot_uniform(rng, d_in, d_out), Tensor.zeros(1, d_out),
-            glorot_uniform(rng, d_out, d_out), Tensor.zeros(1, d_out),
-        )
+        return cls(epsilon, MLP.create(rng, d_in, d_out))
 
     def parameters(self):
-        return [("mlp.0.weight", self.w1), ("mlp.0.bias", self.b1),
-                ("mlp.1.weight", self.w2), ("mlp.1.bias", self.b2)]
-
-    def mlp(self, x: Tensor) -> Tensor:
-        return T.add_row(T.relu(T.add_row(T.matmul(x, self.w1), self.b1)) @ self.w2, self.b2)
+        return [(f"mlp.{name}", t) for name, t in self.mlp.parameters()]
 
 
 class GNNModel:
@@ -84,16 +95,14 @@ class GNNModel:
     def create(cls, kind: str, dims, seed: int = 0) -> "GNNModel":
         """Fresh model with Glorot-uniform weights drawn from ``seed``."""
         dims = tuple(int(d) for d in dims)
-        rng = np.random.default_rng([int(seed), 0x6E4E])
-        layers = []
+        if min(dims, default=0) < 1:
+            raise ConfigError(f"layer widths must be >= 1, got {dims}")
+        rng = seeded_rng(seed, 0x6E4E)
         last = len(dims) - 2
-        for l in range(len(dims) - 1):
-            if kind == GCN:
-                layers.append(GCNLayer.create(rng, dims[l], dims[l + 1], activation=l < last))
-            elif kind == GIN:
-                layers.append(GINLayer.create(rng, dims[l], dims[l + 1]))
-            else:
-                raise ConfigError(f"unknown model kind {kind!r}")
+        # __init__ rejects an unknown kind
+        layers = [GCNLayer.create(rng, dims[l], dims[l + 1], activation=l < last)
+                  if kind == GCN else GINLayer.create(rng, dims[l], dims[l + 1])
+                  for l in range(len(dims) - 1)]
         return cls(kind, layers, dims)
 
     @property

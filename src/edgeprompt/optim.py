@@ -7,6 +7,8 @@ learning rate is a routinely-tuned knob here.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from .errors import NonFiniteError, ShapeError
@@ -58,15 +60,26 @@ class Adam:
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+@contextmanager
+def overflow_guard(where: str):
+    """A numpy overflow inside the block raises ``NonFiniteError``
+    prefixed with ``where``, at once and without a warning."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NonFiniteError(f"{where}: {exc}") from exc
+
+
 def train_step(opt: Adam, loss_fn, where: str) -> tuple[Tensor, float]:
     """One optimizer step on ``loss_fn()``, built on a tape that watches
     ``opt.params``; returns the loss and the gradient's L2 norm.
 
-    A NaN met on the way, or a loss or gradient that is not finite,
-    raises ``NonFiniteError`` prefixed with ``where`` (say "graphcl,
-    epoch 2 of 5") before any parameter changes.
+    An overflow or a NaN met on the way, or a loss or gradient that is
+    not finite, raises ``NonFiniteError`` prefixed with ``where`` (say
+    "graphcl, epoch 2 of 5") before any parameter changes.
     """
-    with Tape() as tape:
+    with overflow_guard(where), Tape() as tape:
         tape.watch(*opt.params)
         try:
             loss = loss_fn()

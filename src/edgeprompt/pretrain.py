@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BaseEstimator, check_positive, check_unit_interval
+from .base import BaseEstimator, check_positive, check_unit_interval, seeded_rng
 from .checkpoint import checkpoint_from_model
 from .data import LabeledDataset
 from .errors import ConfigError
 from .graph import Graph, disjoint_union, membership_from_offsets, unique_sorted
-from .models import GNNModel, glorot_uniform, model_forward, readout
-from .optim import Adam, train_step
+from .models import MLP, GNNModel, model_forward, readout
+from .optim import Adam, overflow_guard, train_step
 from . import tensor as T
 from .tensor import Tensor
 
@@ -53,7 +53,7 @@ def augment_graph(g: Graph, kind: str, ratio: float, seed: int) -> Graph:
     exactly.
     """
     check_unit_interval("ratio", ratio)
-    rng = np.random.default_rng([int(seed), 0xA06])
+    rng = seeded_rng(seed, 0xA06)
     if kind == "node-drop":
         view, _ = _node_drop_view(g, ratio, rng)
         return view
@@ -122,8 +122,7 @@ def ntxent_loss(z1: Tensor, z2: Tensor, temperature: float) -> Tensor:
     2B batch are negatives.  Self-similarities are masked out of the
     softmax.
     """
-    if temperature <= 0:
-        raise ConfigError(f"temperature must be > 0, got {temperature}")
+    check_positive("temperature", temperature)
     if z1.shape != z2.shape:
         raise ConfigError(f"view shapes differ: {z1.shape} vs {z2.shape}")
     b = z1.shape[0]
@@ -134,24 +133,6 @@ def ntxent_loss(z1: Tensor, z2: Tensor, temperature: float) -> Tensor:
     sims = T.add(sims, Tensor(np.diag(np.full(2 * b, _DIAG_MASK))))
     partners = np.concatenate([np.arange(b) + b, np.arange(b)])
     return T.cross_entropy_with_logits(sims, partners)
-
-
-class ProjectionHead:
-    """Two-layer MLP used only during contrastive pre-training."""
-
-    def __init__(self, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
-        self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
-
-    @classmethod
-    def create(cls, rng, dim: int) -> "ProjectionHead":
-        return cls(glorot_uniform(rng, dim, dim), Tensor.zeros(1, dim),
-                   glorot_uniform(rng, dim, dim), Tensor.zeros(1, dim))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.add_row(T.relu(T.add_row(T.matmul(x, self.w1), self.b1)) @ self.w2, self.b2)
-
-    def trainable(self) -> list[Tensor]:
-        return [self.w1, self.b1, self.w2, self.b2]
 
 
 def perturbed_copy(model: GNNModel, scale: float, rng) -> GNNModel:
@@ -187,17 +168,19 @@ class _Pretrainer(BaseEstimator):
         check_positive("lr", self.lr)
         dims = (dataset.feature_dim,) + (self.hidden_dim,) * self.num_layers
         model = GNNModel.create(self.model_kind, dims, seed=self.seed)
-        rng = np.random.default_rng([int(self.seed), 0x9E7])
+        rng = seeded_rng(self.seed, 0x9E7)
         extra, metadata, batches = self._prepare(model, dataset, rng)
         opt = Adam(model.parameters() + extra, lr=self.lr)
         history = []
         for epoch in range(self.epochs):
             where = f"{self.strategy}, epoch {epoch + 1} of {self.epochs}"
             losses, weights = [], []
-            for weight, loss_fn in batches():
-                loss, _ = train_step(opt, loss_fn, where)
-                losses.append(loss.item())
-                weights.append(weight)
+            # the guard also covers the batch source (SimGRACE's noised twin)
+            with overflow_guard(where):
+                for weight, loss_fn in batches():
+                    loss, _ = train_step(opt, loss_fn, where)
+                    losses.append(loss.item())
+                    weights.append(weight)
             history.append(float(np.average(losses, weights=weights)))
         self.model_ = model
         self.history_ = history
@@ -229,7 +212,7 @@ class _ContrastivePretrainer(_Pretrainer):
         if dataset.task == "graph" and min(self.batch_size, len(dataset.graphs)) < 2:
             raise ConfigError(f"{self.strategy} needs batches of >= 2 graphs, got batch_size "
                               f"{self.batch_size} over {len(dataset.graphs)} graph(s)")
-        proj = ProjectionHead.create(rng, model.output_dim)
+        proj = MLP.create(rng, model.output_dim, model.output_dim)
 
         def loss_of(build_views):
             def loss_fn():
@@ -248,7 +231,7 @@ class _ContrastivePretrainer(_Pretrainer):
                 if len(batch) >= 2:
                     yield len(batch), loss_of(self._graph_views(model, batch, rng))
 
-        return proj.trainable(), {}, batches
+        return [t for _, t in proj.parameters()], {}, batches
 
     def _embed(self, model, graphs):
         union, offsets = disjoint_union(graphs)
@@ -419,8 +402,7 @@ class NeighborContrastPretrainer(_Pretrainer):
         self.seed = seed
 
     def _prepare(self, model, dataset, rng):
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
+        check_positive("temperature", self.temperature)
         g = dataset.node_graph()
         deg = g.degrees()
         anchors = np.flatnonzero((deg >= 1) & (deg < g.num_nodes - 1))

@@ -112,9 +112,10 @@ class EdgePromptPlusParams:
 
         Scores reach the anchors already summed per node by the fused
         ``edge_softmax_sum``, whose gradients flow into both W and h_prev.
+        One shared prompt mixes by sum_j c_ij, the propagation of ones.
         """
         if self.score_weights is None:
-            mix = T.edge_sum(Tensor.ones(adj.owners.shape[0], 1), adj)
+            mix = T.propagate(Tensor.ones(adj.num_nodes, 1), adj)
         else:
             mix = T.edge_softmax_sum(self._score_logits(h_prev, layer), adj,
                                      self.leaky_slope)

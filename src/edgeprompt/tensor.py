@@ -42,7 +42,6 @@ __all__ = [
     "gather_rows",
     "scatter_add_rows",
     "propagate",
-    "edge_sum",
     "edge_softmax",
     "edge_softmax_sum",
     "concat_cols",
@@ -418,13 +417,12 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     return _emit(x.data[idx], [(x, lambda g: _segment_sum(g, idx, rows))])
 
 
-def _owner_sum(entries: np.ndarray, adj, axis: int) -> np.ndarray:
-    """Per-owner sums of the rows (axis 0, E x D) or columns (axis 1, D x E)
-    of ``entries``; columns sum faster once rows are wide."""
-    out = np.zeros((adj.num_nodes, entries.shape[1 - axis]))
+def _owner_sum(entries_t: np.ndarray, adj) -> np.ndarray:
+    """Per-owner sums of the columns of D x E ``entries_t``, as N x D
+    (columns sum faster than rows once rows are wide)."""
+    out = np.zeros((adj.num_nodes, entries_t.shape[0]))
     if adj.starts.size:
-        sums = np.add.reduceat(entries, adj.starts, axis=axis)
-        out[adj.rows] = sums.T if axis else sums
+        out[adj.rows] = np.add.reduceat(entries_t, adj.starts, axis=1).T
     return out
 
 
@@ -440,26 +438,9 @@ def propagate(h: Tensor, adj) -> Tensor:
     def prop(x):
         entries_t = np.take(x.T, adj.targets, axis=1)
         entries_t *= adj.coeffs
-        return _owner_sum(entries_t, adj, axis=1)
+        return _owner_sum(entries_t, adj)
 
     return _emit(prop(h.data), [(h, prop)])
-
-
-def edge_sum(values: Tensor, adj) -> Tensor:
-    """out_i = sum_j c_ij v_ij for one row of ``values`` per entry of ``adj``.
-
-    The backward hands each entry its owner's gradient row times c_ij.
-    """
-    if values.shape[0] != adj.owners.shape[0]:
-        raise ShapeError(f"edge_sum: {values.shape[0]} rows for {adj.owners.shape[0]} entries")
-
-    def pull(g):
-        out = g.take(adj.owners, axis=0)
-        out *= adj.coeffs[:, None]
-        return out
-
-    entries = values.data * adj.coeffs[:, None]
-    return _emit(_owner_sum(entries, adj, axis=0), [(values, pull)])
 
 
 def _edge_softmax(logits: np.ndarray, adj, slope: float):
@@ -503,8 +484,8 @@ def edge_softmax_sum(logits: Tensor, adj, slope: float) -> Tensor:
     """Z_i = sum_j c_ij softmax(LeakyReLU(a_i + b_j)) (N x M), for N x 2M
     ``logits`` [a | b] and the entries (i <- j) of a ``graph.Adjacency``.
 
-    This fuses gather, add, LeakyReLU, row softmax and :func:`edge_sum`
-    into one node whose backward keeps only the M x E scores S and gate:
+    This fuses gather, add, LeakyReLU, row softmax and the per-owner sum
+    over j into one node whose backward keeps only the M x E scores S and gate:
     dS = c dZ[owner], dL = gate S (dS - <dS, S>); da sums dL per owner,
     db per target.
     """
@@ -524,7 +505,7 @@ def edge_softmax_sum(logits: Tensor, adj, slope: float) -> Tensor:
         d *= s
         d *= gate
         out = np.empty((n, 2 * m))
-        out[:, :m] = _owner_sum(d, adj, axis=1)
+        out[:, :m] = _owner_sum(d, adj)
         for k in range(m):
             out[:, m + k] = np.bincount(adj.targets, weights=d[k], minlength=n)
         return out
@@ -615,7 +596,10 @@ def binary_cross_entropy_with_logits(scores: Tensor, targets) -> Tensor:
     loss = float(np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - t * z))
 
     def pull(g):
-        sig = 1.0 / (1.0 + np.exp(-z))
+        # exp(-z) overflows to inf for z < -709, where 1 / (1 + inf) = 0
+        # is the right limit
+        with np.errstate(over="ignore"):
+            sig = 1.0 / (1.0 + np.exp(-z))
         return g[0, 0] * (sig - t) / n
 
     return _emit(np.array([[loss]]), [(scores, pull)])

@@ -11,8 +11,8 @@ such witnesses and verifies the ratio by Monte-Carlo simulation.
 Lab 2 (edge/feature prompt equivalence): for a single-layer GIN with a
 linear transform and sum readout, a feature prompt p̂ added to every node
 equals an edge prompt p = (Deg + N + N*eps)/Deg * p̂ added to every edge.
-The edge side runs through the propagate and edge-sum ops of the real
-GIN layer and EdgePrompt; the feature side is computed by dense matrix
+The edge side runs through the real GIN layer's propagate op and
+EdgePrompt's prompt term; the feature side is computed by dense matrix
 algebra as the independent oracle.
 """
 
@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .base import seeded_rng
 from .data import CSBMParams
 from .errors import ConfigError
 from .graph import Graph
@@ -194,7 +195,7 @@ def theorem1_verify(params: CSBMParams, witness: Theorem1Witness,
     d_plain = np.empty(n_trials)
     d_prompt = np.empty(n_trials)
     for t in range(n_trials):
-        rng = np.random.default_rng([int(seed), t, 0x7E01])
+        rng = seeded_rng(seed, t, 0x7E01)
         d_plain[t], d_prompt[t] = _simulate_distances(rng, sim, e)
     analytic = csbm_expected_distance(sim)
     ratios = d_prompt / d_plain
@@ -289,7 +290,11 @@ def theorem2_random_trials(n_trials: int = 100, max_nodes: int = 20, seed: int =
                            eps_values=(0.0, 0.5), residual_bound: float = 1e-9,
                            control_bound: float = 1e-3) -> EquivalenceReport:
     """Run the equivalence check + 1.1x negative control on random draws."""
-    rng = np.random.default_rng([int(seed), 0x7412])
+    if n_trials < 1:
+        raise ConfigError("n_trials must be >= 1")
+    if max_nodes < 2:
+        raise ConfigError(f"max_nodes must be >= 2 (one edge), got {max_nodes}")
+    rng = seeded_rng(seed, 0x7412)
     residuals, controls = [], []
     for t in range(n_trials):
         g, p_hat, weight = random_connected_inputs(rng, max_nodes)

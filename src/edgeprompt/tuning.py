@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BaseEstimator, check_is_fitted, check_positive
+from .base import BaseEstimator, check_is_fitted, check_positive, seeded_rng
 from .checkpoint import Checkpoint, LearnedPrompts, build_model
 from .data import FewShotSplit, LabeledDataset
 from .errors import ConfigError, FormatError
@@ -184,9 +184,9 @@ class PromptTuner(BaseEstimator):
 
         task = dataset.task
         self.anchors_ = self._resolve_anchors(task, model.num_layers)
-        prompt_rng = np.random.default_rng([int(self.seed), 0x9201])
+        prompt_rng = seeded_rng(self.seed, 0x9201)
         prompts = _new_prompts(self.method, model, self.anchors_, prompt_rng, self.leaky_slope)
-        head_rng = np.random.default_rng([int(self.seed), 0x4EAD])
+        head_rng = seeded_rng(self.seed, 0x4EAD)
         head = LinearHead.create(head_rng, model.output_dim, dataset.num_classes)
 
         trainable = ([] if prompts is None else prompts.trainable())
@@ -228,7 +228,7 @@ class PromptTuner(BaseEstimator):
             history["grad_norm"].append(grad_norm)
 
     def _fit_graph(self, model, prompts, head, dataset, train_ids, labels, opt, history):
-        batch_rng = np.random.default_rng([int(self.seed), 0xBA7C])
+        batch_rng = seeded_rng(self.seed, 0xBA7C)
         logits = None
 
         def loss_fn():  # on the current batch's graphs and labels

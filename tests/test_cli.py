@@ -80,7 +80,7 @@ class TestPretrainCommand:
         rc = main(["pretrain", "--strategy", "ep-gppt", "--dataset", node_ds_path,
                    "--out", str(out), "--hidden", "8", "--epochs", "3", "--lr", "1e300"])
         assert rc == 1
-        assert "ep-gppt, epoch 2 of 3: the loss or a gradient is not finite" in (
+        assert "ep-gppt, epoch 2 of 3: overflow encountered in matmul" in (
             capsys.readouterr().err)
         assert not out.exists()
 
@@ -339,9 +339,86 @@ class TestConfigFile:
         assert ckpt.dims[1] == 8             # config beat default
         assert ckpt.seed == 5
 
-    def test_unknown_config_key_exits_2(self, node_ds_path, tmp_path):
+    def test_unknown_config_key_exits_2(self, node_ds_path, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus_key=1\n")
         rc = main(["pretrain", "--config", str(cfg), "--strategy", "graphcl",
                    "--dataset", node_ds_path, "--out", str(tmp_path / "x.bin")])
         assert rc == 2
+        assert "unrecognized arguments: --bogus-key=1" in capsys.readouterr().err
+
+    # each once escaped as a traceback (ValueError, ArgumentTypeError,
+    # UnicodeDecodeError) or, for readout, wrote artifacts that eval refuses
+    @pytest.mark.parametrize("text", [b"epochs=abc\n", b"anchors=x\n", b"readout=bogus\n",
+                                      b"epochs=\xff\xfe\n"])
+    def test_bad_value_exits_2_without_writing(self, node_ds_path, ckpt_path, tmp_path,
+                                               text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(text)
+        out = tmp_path / "out"
+        assert run_tune(node_ds_path, ckpt_path, out, "--config", str(cfg)) == 2
+        assert not out.exists()
+
+    def test_config_line_is_its_flag(self, node_ds_path, ckpt_path, tmp_path):
+        # a value may start with "-", and a key may abbreviate its flag
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# comment\n\nprefix=-x\nread = mean\n")
+        out = tmp_path / "out"
+        assert run_tune(node_ds_path, ckpt_path, out, "--config", str(cfg)) == 0
+        report = json.loads((out / "-x_report.json").read_text())
+        assert report["config"]["readout"] == "mean"
+
+    def test_line_without_equals_names_file_and_line(self, node_ds_path, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("hidden=8\nepochs\n")
+        rc = main(["pretrain", "--config", str(cfg), "--strategy", "graphcl",
+                   "--dataset", node_ds_path, "--out", str(tmp_path / "x.bin")])
+        assert rc == 2
+        assert f"{cfg}:2: expected key=value" in capsys.readouterr().err
+
+    def test_required_flags_stay_on_the_command_line(self, node_ds_path, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dataset={node_ds_path}\n")
+        rc = main(["pretrain", "--config", str(cfg), "--strategy", "graphcl",
+                   "--out", str(tmp_path / "x.bin")])
+        assert rc == 2
+        assert not (tmp_path / "x.bin").exists()
+
+
+# each once escaped as a bare ZeroDivisionError, OverflowError, ValueError
+# or IndexError, exited 1 (temperature nan), or wrote an artifact that its
+# loader rejects (num-graphs 0, lr nan or inf)
+@pytest.mark.parametrize("argv", [
+    ["pretrain", "--strategy", "graphcl", "--hidden", "0"],
+    ["pretrain", "--strategy", "graphcl", "--hidden", "-3"],
+    ["pretrain", "--strategy", "graphcl", "--seed", "-1"],
+    ["pretrain", "--strategy", "graphcl", "--lr", "nan"],
+    ["pretrain", "--strategy", "ep-gppt", "--lr", "inf"],
+    ["pretrain", "--strategy", "simgrace", "--temperature", "nan"],
+    ["tune", "--method", "edgeprompt", "--seeds", "-1"],
+    ["tune", "--method", "edgeprompt", "--lr", "nan"],
+    ["verify", "theorem1", "--p", "0.8", "--q", "0.2", "--T", "2", "--nodes", "0"],
+    ["verify", "theorem1", "--p", "1.5", "--q", "0.2", "--T", "2"],
+    ["verify", "theorem2", "--nodes", "1"],
+    ["verify", "theorem2", "--trials", "0"],
+    ["verify", "theorem2", "--seed", "-1", "--trials", "1"],
+    ["gen-csbm", "--n-per-class", "0"],
+    ["gen-csbm", "--p", "2"],
+    ["gen-csbm", "--separation", "0"],
+    ["gen-csbm", "--separation", "nan"],
+    ["gen-csbm", "--feature-dim", "0"],
+    ["gen-csbm", "--feature-dim", "-3"],
+    ["gen-csbm", "--seed", "-1"],
+    ["gen-csbm", "--task", "graph", "--num-graphs", "0"],
+], ids=" ".join)
+def test_out_of_range_value_exits_2_without_writing(argv, node_ds_path, ckpt_path,
+                                                     tmp_path):
+    out = tmp_path / "out"
+    paths = {"pretrain": ["--dataset", node_ds_path, "--out", str(out)],
+             "tune": ["--dataset", node_ds_path, "--checkpoint", ckpt_path,
+                      "--epochs", "1", "--out-dir", str(out)],
+             "verify": ["--out", str(out)],
+             "gen-csbm": ["--out", str(out)]}
+    assert main(argv + paths[argv[0]]) == 2
+    # nothing written (tune makes its output directory first)
+    assert not out.is_file() and not (out.is_dir() and any(out.iterdir()))

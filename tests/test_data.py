@@ -8,11 +8,12 @@ from edgeprompt.data import (
     LabeledDataset,
     csbm_generate,
     csbm_graph_dataset,
+    csbm_node_dataset,
     kshot_sample,
     load_dataset,
     save_dataset,
 )
-from edgeprompt.errors import DatasetError, InsufficientDataError
+from edgeprompt.errors import ConfigError, DatasetError, InsufficientDataError
 from edgeprompt.graph import Graph
 
 
@@ -114,6 +115,22 @@ class TestLoadDataset:
         payload["graphs"][0]["edges"] = [[0, 2**63]]
         with pytest.raises(DatasetError, match="graph 0"):
             load_dataset(write_container(tmp_path, payload))
+
+    # endpoints were once read loosely: 1.5 and true as 1, "1" as 1
+    @pytest.mark.parametrize("edges", [
+        [[0, 1.5]], [[0, True]], [["1", 0]], [[True, False]], [[0, 1.0]], [[0, None]],
+        [[0, 1], [1]], [[0, 1, 1]], [0, 1], {"0": 1}, [[0, 2**70]]])
+    def test_edge_endpoints_must_be_json_ints(self, tmp_path, edges):
+        payload = tiny_node_container()
+        payload["graphs"][0]["edges"] = edges
+        with pytest.raises(DatasetError, match="graph 0: edges must be"):
+            load_dataset(write_container(tmp_path, payload))
+
+    @pytest.mark.parametrize("edges,count", [([], 0), ([[1, 0]], 1), ([[0, 1], [1, 0]], 1)])
+    def test_int_edges_load(self, tmp_path, edges, count):
+        payload = tiny_node_container()
+        payload["graphs"][0]["edges"] = edges
+        assert load_dataset(write_container(tmp_path, payload)).graphs[0].num_edges == count
 
     def test_non_utf8_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -244,6 +261,29 @@ class TestCSBM:
     def test_rejects_equal_means(self):
         with pytest.raises(ValueError):
             CSBMParams([1.0], [1.0], p=0.5, q=0.5, n_per_class=2)
+
+    # each once escaped the CLI as a bare ValueError (gen-csbm, verify)
+    @pytest.mark.parametrize("mu1,mu2,p,q,n", [
+        ([1.0], [1.0], 0.5, 0.5, 2), ([1.0], [0.0, 1.0], 0.5, 0.5, 2),
+        ([np.nan], [0.0], 0.5, 0.5, 2), ([1.0], [0.0], 1.5, 0.5, 2),
+        ([1.0], [0.0], 0.5, -0.1, 2), ([1.0], [0.0], 0.5, 0.5, 0)])
+    def test_every_rule_is_a_config_error(self, mu1, mu2, p, q, n):
+        with pytest.raises(ConfigError):
+            CSBMParams(mu1, mu2, p=p, q=q, n_per_class=n)
+
+    def test_graph_dataset_needs_a_graph(self):
+        # num_graphs 0 once wrote a container that load_dataset rejects
+        params = CSBMParams([1.0], [0.0], p=0.9, q=0.1, n_per_class=2)
+        with pytest.raises(ConfigError, match="num_graphs"):
+            csbm_graph_dataset(params, params, num_graphs=0, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, -2**40])
+    def test_negative_seed_is_a_config_error(self, seed):
+        params = CSBMParams([1.0], [0.0], p=0.9, q=0.1, n_per_class=2)
+        with pytest.raises(ConfigError, match="seed"):
+            csbm_generate(params, seed)
+        with pytest.raises(ConfigError, match="seed"):
+            kshot_sample(csbm_node_dataset(params, 0), 1, seed)
 
     def test_graph_dataset_alternates_regimes(self):
         p0 = CSBMParams([1.0], [0.0], p=0.9, q=0.1, n_per_class=5)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import edgeprompt.tensor as T
-from edgeprompt.errors import ShapeError
+from edgeprompt.errors import ConfigError, ShapeError
 from edgeprompt.graph import Graph
 from edgeprompt.models import (
     GINLayer,
@@ -48,6 +48,12 @@ def dense_gin_aggregate_reference(g, h, eps, prompts=None):
     return agg
 
 
+def prompt_term(values, adj):
+    """sum_j c_ij v_ij per node, for one row of ``values`` per entry of ``adj``."""
+    return T.scatter_add_rows(T.scale_rows(Tensor(values), adj.coeffs), adj.owners,
+                              adj.num_nodes)
+
+
 class TestGCNLayer:
     def test_zero_prompts_equal_no_prompts(self, rng):
         g = random_connected_graph(rng, 6, feature_dim=3)
@@ -55,7 +61,7 @@ class TestGCNLayer:
         adj = g.adjacency("gcn")
         h = Tensor(g.features)
         plain = gcn_layer_forward(model.layers[0], h, adj)
-        zeros = T.edge_sum(Tensor(np.zeros((g.num_directed_edges, 3))), adj)
+        zeros = prompt_term(np.zeros((g.num_directed_edges, 3)), adj)
         prompted = gcn_layer_forward(model.layers[0], h, adj, zeros)
         np.testing.assert_array_equal(plain.data, prompted.data)
 
@@ -69,7 +75,7 @@ class TestGCNLayer:
         layer.bias = Tensor(np.zeros((1, 2)))
         layer.activation = False
         adj = g.adjacency("gcn")
-        prompts = T.edge_sum(Tensor(np.ones((2, 2))), adj)
+        prompts = prompt_term(np.ones((2, 2)), adj)
         out = gcn_layer_forward(layer, Tensor(g.features), adj, prompts)
         expected0 = 0.5 * g.features[0] + 0.5 * (g.features[1] + 1.0)
         expected1 = 0.5 * g.features[1] + 0.5 * (g.features[0] + 1.0)
@@ -79,8 +85,6 @@ class TestGCNLayer:
         g = random_connected_graph(rng, 4, feature_dim=2)
         model = GNNModel.create("gcn", (2, 2), seed=0)
         adj = g.adjacency("gcn")
-        with pytest.raises(ShapeError):
-            T.edge_sum(Tensor(np.zeros((g.num_directed_edges + 1, 2))), adj)
         with pytest.raises(ShapeError):
             gcn_layer_forward(model.layers[0], Tensor(g.features), adj,
                               Tensor(np.zeros((g.num_nodes + 1, 2))))
@@ -98,7 +102,7 @@ class TestGCNLayer:
         layer.weight, layer.bias, layer.activation = Tensor(w), Tensor(b), True
         adj = g.adjacency("gcn")
         out = gcn_layer_forward(layer, Tensor(g.features), adj,
-                                T.edge_sum(Tensor(prompts), adj))
+                                prompt_term(prompts, adj))
         ref = dense_gcn_reference(g, g.features, w, b, prompts, activation=True)
         np.testing.assert_allclose(out.data, ref, atol=1e-12)
 
@@ -117,7 +121,7 @@ class TestGINLayer:
         g = random_connected_graph(rng, 6, feature_dim=3)
         adj = g.adjacency("gin")
         p = rng.uniform(-1, 1, (1, 3))
-        per_entry = T.edge_sum(Tensor(np.repeat(p, g.num_directed_edges, axis=0)), adj)
+        per_entry = prompt_term(np.repeat(p, g.num_directed_edges, axis=0), adj)
         shared = EdgePromptPlusParams([Tensor(p)]).aggregate(Tensor(g.features), adj, 0)
         deg = g.degrees().astype(float)[:, None]
         np.testing.assert_allclose(per_entry.data, deg * p, atol=1e-12)
@@ -130,7 +134,7 @@ class TestGINLayer:
         w = rng.uniform(-1, 1, (2, 4))
         h = Tensor(g.features)
         adj = g.adjacency("gin")
-        prompts = T.edge_sum(Tensor(np.repeat(p, g.num_directed_edges, axis=0)), adj)
+        prompts = prompt_term(np.repeat(p, g.num_directed_edges, axis=0), adj)
         lhs = T.add(T.propagate(h, adj), prompts).data @ w
         deg = g.degrees().astype(float)[:, None]
         rhs = T.propagate(h, adj).data @ w + (deg * p) @ w
@@ -146,9 +150,17 @@ class TestGINLayer:
         layer = GINLayer.create(r, 2, 3, epsilon=eps)
         adj = g.adjacency("gin")
         out = gin_layer_forward(layer, Tensor(g.features), adj,
-                                T.edge_sum(Tensor(prompts), adj))
+                                prompt_term(prompts, adj))
         ref = dense_gin_aggregate_reference(g, g.features, eps, prompts)
         np.testing.assert_allclose(out.data, layer.mlp(Tensor(ref)).data, atol=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(3, 0), (3, -3), (0, 2), (3, 4, 0)])
+def test_widths_below_one_rejected(dims):
+    # hidden 0 once ended in a ZeroDivisionError, -3 in an OverflowError
+    for kind in ("gcn", "gin"):
+        with pytest.raises(ConfigError, match="widths"):
+            GNNModel.create(kind, dims, seed=0)
 
 
 class TestModelForward:

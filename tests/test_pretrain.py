@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeprompt.checkpoint import serialize_checkpoint
-from edgeprompt.data import CSBMParams, LabeledDataset, csbm_graph_dataset
+from edgeprompt.data import CSBMParams, LabeledDataset, csbm_graph_dataset, csbm_node_dataset
 from edgeprompt.errors import ConfigError, NonFiniteError
 from edgeprompt.graph import Graph
 from edgeprompt.pretrain import (
@@ -277,6 +278,21 @@ def test_divergence_stops_naming_strategy_and_epoch(strategy, task):
         with pytest.raises(NonFiniteError, match=rf"^{re.escape(strategy)}, epoch \d of 5: "):
             est.fit(ds)
     assert not hasattr(est, "checkpoint_")
+
+
+@pytest.mark.parametrize("strategy", sorted(PRETRAINERS))
+def test_overflow_stops_at_once_without_a_warning(strategy):
+    # each strategy once printed 2-11 numpy RuntimeWarnings first; SimGRACE's
+    # overflow happens in the batch source, outside the training step
+    mu = np.zeros(4)
+    mu[0] = 1.0
+    ds = csbm_node_dataset(CSBMParams(mu, -mu, p=0.5, q=0.1, n_per_class=20), seed=0)
+    est = PRETRAINERS[strategy](hidden_dim=8, epochs=5, lr=1e300, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=rf"^{re.escape(strategy)}, epoch \d of 5: "
+                                                 r"overflow encountered in \w+$"):
+            est.fit(ds)
 
 
 @pytest.mark.parametrize("cls", [GraphCLPretrainer, SimGRACEPretrainer])

@@ -230,6 +230,13 @@ class TestTheorem2:
         bad = theorem2_equivalence_check(g, p_hat, 0.0, w, coefficient_scale=1.1)
         assert bad > 1e-3
 
+    # trials 0 once ended in a ValueError from max([]), nodes 1 in one
+    # from rng.integers ("low >= high")
+    @pytest.mark.parametrize("n_trials,max_nodes", [(0, 20), (-1, 20), (3, 1), (3, -2)])
+    def test_trials_and_nodes_checked(self, n_trials, max_nodes):
+        with pytest.raises(ConfigError):
+            theorem2_random_trials(n_trials=n_trials, max_nodes=max_nodes)
+
     def test_trials_report(self):
         report = theorem2_random_trials(n_trials=30, max_nodes=12, seed=0)
         assert report.passed

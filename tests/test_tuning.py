@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,16 @@ class TestNodeTuning:
             with pytest.raises(NonFiniteError, match=rf"{re.escape(method)}, epoch \d of 5"):
                 tuner.fit(clique_ds, clique_split)
         assert not hasattr(tuner, "history_")
+
+    @pytest.mark.parametrize("method", ["edgeprompt", "edgeprompt+", "gpf", "gpf-plus"])
+    def test_overflow_stops_at_once_without_a_warning(self, clique_ds, clique_split, method):
+        tuner = PromptTuner(node_checkpoint(), method=method, epochs=5, lr=1e300,
+                            anchors=2, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=rf"^{re.escape(method)}, epoch \d of 5: "
+                                                     r"overflow encountered in \w+$"):
+                tuner.fit(clique_ds, clique_split)
 
     def test_unfitted_estimator_raises(self, clique_ds):
         with pytest.raises(NotFittedError):
