@@ -141,7 +141,6 @@ def _cmd_tune(args) -> int:
     if args.anchors is not None and not args.anchors:
         raise ConfigError("--anchors must name at least one anchor count")
     out_dir = _out_path(args.out_dir)
-    os.makedirs(out_dir, exist_ok=True)
     started = time.time()
     anchor_counts = args.anchors if args.anchors else [None]
     runs = []
@@ -164,8 +163,8 @@ def _cmd_tune(args) -> int:
             }
             if args.method != "classifier-only":
                 name = f"{args.prefix}_a{tuner.anchors_[0]}_s{seed}.prompts"
-                path = os.path.join(out_dir, name)
-                save_prompts(tuner.to_learned_prompts(), path)
+                os.makedirs(out_dir, exist_ok=True)
+                save_prompts(tuner.to_learned_prompts(), os.path.join(out_dir, name))
                 entry["prompt_file"] = name
             seed_entries.append(entry)
             csv_rows.append([seed, args.method, ckpt.strategy, args.shots,

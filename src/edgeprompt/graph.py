@@ -8,6 +8,8 @@ and duplicate edges collapse at construction time.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConfigError, ShapeError
@@ -111,29 +113,35 @@ class Graph:
 
 
 class Adjacency:
-    """The message-passing operator of one model kind over a graph's entries.
+    """The message-passing operator of one model kind, n_in rows to n_out.
 
-    Entry k sends from ``targets[k]`` into ``owners[k]`` with weight
-    ``coeffs[k]``: 1/sqrt((d_i+1)(d_j+1)) for ``"gcn"``, whose self-loop
-    weights 1/(d_i+1) are ``self_coeffs``, and 1 for ``"gin"``.  Owners
-    are sorted and ``offsets`` is the CSR row table; ``counts`` (entries
-    per node, 0 for isolated nodes), ``rows`` (nodes with entries) and
+    Entry k sends from input row ``targets[k]`` into output row
+    ``owners[k]`` with weight ``coeffs[k]``: 1/sqrt((d_i+1)(d_j+1)) for
+    ``"gcn"``, whose self-loop weights 1/(d_i+1) are ``self_coeffs``, and
+    1 for ``"gin"``, d being the whole graph's degrees.  Owners are sorted
+    and ``offsets`` is the CSR row table; ``counts`` (entries per output
+    row, 0 for isolated nodes), ``rows`` (output rows with entries) and
     ``starts`` (their first entries) are the layout that
-    ``tensor.propagate`` and ``edge_softmax_sum`` expand and reduce
-    with.  :meth:`restrict` cuts the operator down to the
-    receptive field of some rows.
+    ``tensor.propagate`` and ``edge_softmax_sum`` expand and reduce with.
+    ``Graph.adjacency`` is the square operator over every node (``inputs``
+    and ``outputs`` None); :meth:`blocks` cuts blocks from it that hold
+    their rows' node ids and the output rows' positions among the input
+    rows (``own``, which self terms read; None when square).
     """
 
-    def __init__(self, owners, targets, offsets, coeffs, self_coeffs=None):
-        self.num_nodes = int(offsets.shape[0] - 1)
+    def __init__(self, owners, targets, offsets, coeffs, self_coeffs=None,
+                 inputs=None, outputs=None):
+        self.num_out = int(offsets.shape[0] - 1)
+        self.num_in = self.num_out if inputs is None else int(inputs.size)
         self.owners = owners
         self.targets = targets
         self.offsets = offsets
         self.counts = np.diff(offsets)
         self.rows = np.flatnonzero(self.counts)
         self.starts = offsets[self.rows]
-        self.coeffs = coeffs
-        self.self_coeffs = self_coeffs
+        self.coeffs, self.self_coeffs = coeffs, self_coeffs
+        self.inputs, self.outputs = inputs, outputs
+        self.own = np.searchsorted(inputs, outputs) if self.num_in > self.num_out else None
 
     @classmethod
     def of(cls, g: "Graph", kind: str) -> "Adjacency":
@@ -147,51 +155,52 @@ class Adjacency:
         return cls(g.csr_owners, g.csr_targets, g.csr_offsets,
                    inv_sqrt[g.csr_owners] * inv_sqrt[g.csr_targets], inv_sqrt * inv_sqrt)
 
-    def restrict(self, rows, hops: int) -> "tuple[np.ndarray, Adjacency] | None":
-        """The ``hops``-hop field of ``rows`` and this operator on it, or
-        None when the field is every node.
+    @functools.cached_property
+    def coeff_sums(self) -> np.ndarray:
+        """sum_j c_ij per output row, as an n_out x 1 column."""
+        out = np.zeros((self.num_out, 1))
+        out[self.rows, 0] = np.add.reduceat(self.coeffs, self.starts)
+        return out
 
-        The field comes back as sorted node ids.  The restricted operator
-        keeps the entries whose owner and target both lie in the field,
-        numbered by position in it, so owners stay sorted and each row's
-        entries keep their order.  It keeps this operator's coefficients,
-        so GCN weights still use the whole graph's degrees: an L-layer
-        model run on the field (h^(0) = the field's feature rows) gives
-        the whole graph's outputs at ``rows`` for L <= ``hops``.  The
-        search reads only the CSR slices of each hop's new nodes and
-        stops once every node is in.
+    @functools.cached_property
+    def transpose(self) -> "Adjacency":
+        """The operator from the output rows back to the input rows."""
+        order = np.argsort(self.targets, kind="stable")
+        owners = self.targets[order]
+        return Adjacency(owners, self.owners[order],
+                         np.searchsorted(owners, np.arange(self.num_in + 1)),
+                         self.coeffs[order], inputs=self.outputs, outputs=self.inputs)
+
+    def blocks(self, rows, layers: int) -> "list[Adjacency]":
+        """The blocks an L-layer model runs on to give this whole-graph
+        operator's outputs at ``rows``: block l maps rows B^l to B^{l+1},
+        where B^L is the sorted distinct ``rows`` and B^l adds B^{l+1}'s
+        neighbours (or every node, when those rows own all but 1/64 of the
+        entries).  It holds this operator's entries owned by B^{l+1},
+        in CSR order, with their coefficients; a block whose output rows
+        are every node is this operator itself.
         """
-        inside = np.zeros(self.num_nodes, dtype=bool)
-        frontier = unique_sorted(np.asarray(rows, dtype=np.int64))
-        inside[frontier] = True
-        size = frontier.size
-        for _ in range(hops):
-            if size == self.num_nodes:
-                break
-            reached = self.targets[self._entries_of(frontier)]
-            frontier = unique_sorted(reached[~inside[reached]])
-            inside[frontier] = True
-            size += frontier.size
-        if size == self.num_nodes:
-            return None
-        nodes = np.flatnonzero(inside)
-        entries = self._entries_of(nodes)
-        entries = entries[inside[self.targets[entries]]]
-        local = np.empty(self.num_nodes, dtype=np.int64)
-        local[nodes] = np.arange(nodes.size)
-        owners = local[self.owners[entries]]
-        counts = np.bincount(owners, minlength=nodes.size)
-        offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        self_coeffs = None if self.self_coeffs is None else self.self_coeffs[nodes]
-        return nodes, Adjacency(owners, local[self.targets[entries]], offsets,
-                                self.coeffs[entries], self_coeffs)
-
-    def _entries_of(self, nodes: np.ndarray) -> np.ndarray:
-        """Positions of the entries owned by ``nodes``, in their order."""
-        starts = self.offsets[nodes]
-        lengths = self.offsets[nodes + 1] - starts
-        shift = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-        return shift + np.arange(shift.size)
+        outputs, chain = unique_sorted(np.asarray(rows, dtype=np.int64)), []
+        for _ in range(layers):
+            if outputs.size == self.num_out:
+                chain.append(self)
+                continue
+            starts = self.offsets[outputs]
+            counts = self.offsets[outputs + 1] - starts
+            offsets = np.concatenate(([0], np.cumsum(counts)))
+            entries = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
+            inside = np.zeros(self.num_out, dtype=bool)
+            inside[outputs] = inside[self.targets[entries]] = True
+            # copying nearly every entry each fit would save little: take all nodes
+            if 64 * self.counts[~inside].sum() < self.owners.size:
+                inside[:] = True
+            local = np.cumsum(inside) - 1  # a node's position among the inputs
+            self_coeffs = None if self.self_coeffs is None else self.self_coeffs[outputs]
+            chain.append(Adjacency(np.repeat(np.arange(outputs.size), counts),
+                                   local[self.targets[entries]], offsets, self.coeffs[entries],
+                                   self_coeffs, np.flatnonzero(inside), outputs))
+            outputs = chain[-1].inputs
+        return chain[::-1]
 
 
 def disjoint_union(graphs: list[Graph]) -> tuple[Graph, np.ndarray]:

@@ -149,10 +149,15 @@ class GNNModel:
         return clone
 
 
+def _own_rows(h: Tensor, adj: Adjacency) -> Tensor:
+    """The output rows' own input rows: what a layer's self term reads."""
+    return h if adj.own is None else T.gather_rows(h, adj.own)
+
+
 def gcn_layer_forward(layer: GCNLayer, h: Tensor, adj: Adjacency,
                       prompt_term: Tensor | None = None) -> Tensor:
     """One GCN layer: Â h plus the self-loop term and the prompt term."""
-    agg = T.add(T.propagate(h, adj), T.scale_rows(h, adj.self_coeffs))
+    agg = T.add(T.propagate(h, adj), T.scale_rows(_own_rows(h, adj), adj.self_coeffs))
     if prompt_term is not None:
         agg = T.add(agg, prompt_term)
     out = T.add_row(T.matmul(agg, layer.weight), layer.bias)
@@ -164,35 +169,34 @@ def gcn_layer_forward(layer: GCNLayer, h: Tensor, adj: Adjacency,
 def gin_layer_forward(layer: GINLayer, h: Tensor, adj: Adjacency,
                       prompt_term: Tensor | None = None) -> Tensor:
     """One GIN layer: the MLP of A h + (1+eps) h plus the prompt term."""
-    agg = T.add(T.propagate(h, adj), T.scale(h, 1.0 + layer.epsilon))
+    agg = T.add(T.propagate(h, adj), T.scale(_own_rows(h, adj), 1.0 + layer.epsilon))
     if prompt_term is not None:
         agg = T.add(agg, prompt_term)
     return layer.mlp(agg)
 
 
-def model_forward(model: GNNModel, g: Graph, prompts=None,
-                  features: Tensor | None = None, adj: Adjacency | None = None) -> Tensor:
+def model_forward(model: GNNModel, g: Graph, prompts=None, features: Tensor | None = None,
+                  blocks: list[Adjacency] | None = None) -> Tensor:
     """Run all layers; h^(0) is the graph's feature matrix.
 
     ``prompts`` is None or an ``EdgePromptPlusParams`` with one anchor
     set per layer.  ``features`` substitutes h^(0) (used by the
-    node-feature prompt baselines).  ``adj`` substitutes the graph's
-    operator with a restriction of it (``Adjacency.restrict``); then
-    ``features`` holds the rows of its field and so does the result.
+    node-feature prompt baselines).  ``blocks`` (from ``Adjacency.blocks``)
+    runs layer l on block l instead of the graph's operator; ``features``
+    then holds block 0's input rows and the result the last output rows.
     """
-    if adj is None:
-        adj = g.adjacency(model.kind)
+    blocks = blocks or [g.adjacency(model.kind)] * model.num_layers
     h = Tensor(g.features) if features is None else features
-    if h.shape != (adj.num_nodes, model.input_dim):
+    if h.shape != (blocks[0].num_in, model.input_dim):
         raise ShapeError(
-            f"input features {h.shape} vs expected ({adj.num_nodes}, {model.input_dim})"
+            f"input features {h.shape} vs expected ({blocks[0].num_in}, {model.input_dim})"
         )
     if prompts is not None and len(prompts.anchors) != model.num_layers:
         raise ShapeError(
             f"prompts have {len(prompts.anchors)} layers, model has {model.num_layers}"
         )
     layer_forward = gcn_layer_forward if model.kind == GCN else gin_layer_forward
-    for l, layer in enumerate(model.layers):
+    for l, (layer, adj) in enumerate(zip(model.layers, blocks, strict=True)):
         term = None if prompts is None else prompts.aggregate(h, adj, l)
         h = layer_forward(layer, h, adj, term)
     return h

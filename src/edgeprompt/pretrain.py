@@ -315,6 +315,11 @@ class SimGRACEPretrainer(_ContrastivePretrainer):
         self.node_batch = node_batch
         self.seed = seed
 
+    def _prepare(self, model, dataset, rng):
+        if not 0.0 <= self.noise_scale < np.inf:  # NaN fails both
+            raise ConfigError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
+        return super()._prepare(model, dataset, rng)
+
     def _node_views(self, model, g, rng):
         twin = perturbed_copy(model, self.noise_scale, rng)
         batch = min(self.node_batch, g.num_nodes)

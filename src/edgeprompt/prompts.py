@@ -108,14 +108,14 @@ class EdgePromptPlusParams:
         return Tensor(T.edge_softmax(logits, adj, self.leaky_slope))
 
     def aggregate(self, h_prev: Tensor, adj: Adjacency, layer: int) -> Tensor:
-        """The layer's prompt term per node, sum_j c_ij e_ij (N x D).
+        """The layer's prompt term per output row, sum_j c_ij e_ij (n_out x D).
 
         Scores reach the anchors already summed per node by the fused
         ``edge_softmax_sum``, whose gradients flow into both W and h_prev.
-        One shared prompt mixes by sum_j c_ij, the propagation of ones.
+        One shared prompt mixes by the operator's constant sum_j c_ij.
         """
         if self.score_weights is None:
-            mix = T.propagate(Tensor.ones(adj.num_nodes, 1), adj)
+            mix = Tensor(adj.coeff_sums)
         else:
             mix = T.edge_softmax_sum(self._score_logits(h_prev, layer), adj,
                                      self.leaky_slope)

@@ -418,34 +418,36 @@ def gather_rows(x: Tensor, indices) -> Tensor:
 
 
 def _owner_sum(entries_t: np.ndarray, adj) -> np.ndarray:
-    """Per-owner sums of the columns of D x E ``entries_t``, as N x D
+    """Per-owner sums of the columns of D x E ``entries_t``, as n_out x D
     (columns sum faster than rows once rows are wide)."""
-    out = np.zeros((adj.num_nodes, entries_t.shape[0]))
+    out = np.zeros((adj.num_out, entries_t.shape[0]))
     if adj.starts.size:
         out[adj.rows] = np.add.reduceat(entries_t, adj.starts, axis=1).T
     return out
 
 
 def propagate(h: Tensor, adj) -> Tensor:
-    """out_i = sum_j c_ij h_j over the entries of a ``graph.Adjacency``.
+    """out_i = sum_j c_ij h_j (n_out rows) over the entries of a
+    ``graph.Adjacency``, from its n_in input rows.
 
-    The operator is symmetric (c_ij = c_ji), so its backward is the same
-    propagation of the output gradient.
+    Its backward propagates the output gradient over the transposed
+    operator; a square one is symmetric (c_ij = c_ji), its own transpose.
     """
-    if h.shape[0] != adj.num_nodes:
-        raise ShapeError(f"propagate: {h.shape[0]} rows for {adj.num_nodes} nodes")
+    if h.shape[0] != adj.num_in:
+        raise ShapeError(f"propagate: {h.shape[0]} rows for {adj.num_in} input rows")
 
-    def prop(x):
-        entries_t = np.take(x.T, adj.targets, axis=1)
-        entries_t *= adj.coeffs
-        return _owner_sum(entries_t, adj)
+    def prop(x, op):
+        entries_t = np.take(x.T, op.targets, axis=1)
+        entries_t *= op.coeffs
+        return _owner_sum(entries_t, op)
 
-    return _emit(prop(h.data), [(h, prop)])
+    return _emit(prop(h.data, adj),
+                 [(h, lambda g: prop(g, adj if adj.own is None else adj.transpose))])
 
 
 def _edge_softmax(logits: np.ndarray, adj, slope: float):
     """Scores S_:k = softmax(LeakyReLU(a_i + b_j)) of each entry k = (i <- j),
-    for N x 2M ``logits`` [a | b], and the LeakyReLU gate (1 or slope).
+    for n_in x 2M ``logits`` [a | b] (a_i at i's own row), and the LeakyReLU gate.
 
     Both are anchor-major (M x E), so every reduction over the M anchors
     runs along axis 0 over contiguous entry rows.
@@ -453,12 +455,13 @@ def _edge_softmax(logits: np.ndarray, adj, slope: float):
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
     n, cols = logits.shape
-    if n != adj.num_nodes or cols % 2:
+    if n != adj.num_in or cols % 2:
         raise ShapeError(f"edge softmax: logits {logits.shape} are not "
-                         f"{adj.num_nodes} x 2M")
+                         f"{adj.num_in} x 2M")
     m = cols // 2
+    a = logits[:, :m] if adj.own is None else logits[adj.own, :m]
     # owners are sorted, so repeating a_i by entry count expands it
-    s = np.repeat(logits[:, :m].T, adj.counts, axis=1)
+    s = np.repeat(a.T, adj.counts, axis=1)
     gate = np.take(logits[:, m:].T, adj.targets, axis=1)
     s += gate
     np.greater_equal(s, 0.0, out=gate)
@@ -481,18 +484,18 @@ def edge_softmax(logits: Tensor, adj, slope: float) -> np.ndarray:
 
 
 def edge_softmax_sum(logits: Tensor, adj, slope: float) -> Tensor:
-    """Z_i = sum_j c_ij softmax(LeakyReLU(a_i + b_j)) (N x M), for N x 2M
+    """Z_i = sum_j c_ij softmax(LeakyReLU(a_i + b_j)) (n_out x M), for n_in x 2M
     ``logits`` [a | b] and the entries (i <- j) of a ``graph.Adjacency``.
 
     This fuses gather, add, LeakyReLU, row softmax and the per-owner sum
     over j into one node whose backward keeps only the M x E scores S and gate:
-    dS = c dZ[owner], dL = gate S (dS - <dS, S>); da sums dL per owner,
-    db per target.
+    dS = c dZ[owner], dL = gate S (dS - <dS, S>); da sums dL per owner
+    into the owners' input rows, db per target.
     """
     s, gate = _edge_softmax(logits.data, adj, slope)
-    n, m = adj.num_nodes, s.shape[0]
+    m = s.shape[0]
     # one anchor row at a time, so no second M x E array is made
-    z = np.zeros((n, m))
+    z = np.zeros((adj.num_out, m))
     row = np.empty(s.shape[1])
     for k in range(m if adj.starts.size else 0):
         np.multiply(s[k], adj.coeffs, out=row)
@@ -504,10 +507,10 @@ def edge_softmax_sum(logits: Tensor, adj, slope: float) -> Tensor:
         d -= np.einsum("me,me->e", d, s)
         d *= s
         d *= gate
-        out = np.empty((n, 2 * m))
-        out[:, :m] = _owner_sum(d, adj)
+        out = np.zeros((adj.num_in, 2 * m))
+        out[slice(None) if adj.own is None else adj.own, :m] = _owner_sum(d, adj)
         for k in range(m):
-            out[:, m + k] = np.bincount(adj.targets, weights=d[k], minlength=n)
+            out[:, m + k] = np.bincount(adj.targets, weights=d[k], minlength=adj.num_in)
         return out
 
     return _emit(z, [(logits, pull)])

@@ -4,10 +4,10 @@
 learns prompt parameters (per ``method``) and a linear probe on top of a
 checkpointed backbone whose weights are never touched.  Node
 classification takes one step per epoch on the mean cross entropy over
-all labeled nodes, running the layers only on their receptive field
-(:class:`ReceptiveField`), the part of the graph that those rows'
-representations read; graph classification batches disjoint unions and
-applies a readout before the probe.
+all labeled nodes, running layer l on block l of their message-flow
+chain (``Adjacency.blocks``), only the rows that they read through the
+layers left; graph classification batches disjoint unions and applies a
+readout before the probe.
 
 Methods: ``edgeprompt``, ``edgeprompt+``, ``gpf``, ``gpf-plus``, and
 ``classifier-only`` (no prompts; the probing baseline).
@@ -21,7 +21,7 @@ from .base import BaseEstimator, check_is_fitted, check_positive, seeded_rng
 from .checkpoint import Checkpoint, LearnedPrompts, build_model
 from .data import FewShotSplit, LabeledDataset
 from .errors import ConfigError, FormatError
-from .graph import Graph, disjoint_union, membership_from_offsets
+from .graph import Adjacency, Graph, disjoint_union, membership_from_offsets
 from .models import GNNModel, LinearHead, classifier_forward, model_forward, readout
 from .optim import Adam, train_step
 from .prompts import EdgePromptPlusParams, NodePromptParams
@@ -33,40 +33,18 @@ METHODS = ("edgeprompt", "edgeprompt+", "gpf", "gpf-plus", "classifier-only")
 _EVAL_CHUNK = 128  # graphs per disjoint union during evaluation
 
 
-class ReceptiveField:
-    """Some rows of a graph and the part of the graph they read.
-
-    An L-layer backbone's output at a node depends only on the node's
-    L-hop neighbourhood, so layers run on that field, over its feature
-    rows ``features`` and the restricted operator ``adj``, give the
-    whole graph's outputs at the rows, found at positions ``rows`` of
-    the field.  When the field is every node, ``adj`` is None and the
-    layers run on the graph itself.
-    """
-
-    def __init__(self, model: GNNModel, g: Graph, rows):
-        self.rows = np.asarray(rows, dtype=np.int64)
-        self.features, self.adj = g.features, None
-        restricted = g.adjacency(model.kind).restrict(self.rows, model.num_layers)
-        if restricted is not None:
-            nodes, self.adj = restricted
-            self.features = g.features[nodes]
-            self.rows = np.searchsorted(nodes, self.rows)
-
-
 def prompted_representations(model: GNNModel, g: Graph, prompt_params,
-                             field: ReceptiveField | None = None) -> Tensor:
+                             blocks: list[Adjacency] | None = None) -> Tensor:
     """Final node representations under the given prompt family (or none).
 
-    With a ``field`` of ``g``, only the field's requested rows, in its
-    order, computed on the field.
+    With a chain of ``blocks`` of ``g`` (from ``Adjacency.blocks``), only
+    the last block's output rows, computed on the chain.
     """
-    x = Tensor(g.features if field is None else field.features)
+    nodes = None if blocks is None else blocks[0].inputs
+    x = Tensor(g.features if nodes is None else g.features[nodes])
     if isinstance(prompt_params, NodePromptParams):
         x, prompt_params = prompt_params.apply(x), None
-    h = model_forward(model, g, prompts=prompt_params, features=x,
-                      adj=None if field is None else field.adj)
-    return h if field is None else T.gather_rows(h, field.rows)
+    return model_forward(model, g, prompts=prompt_params, features=x, blocks=blocks)
 
 
 def _graph_logits(model, prompt_params, head, graphs, readout_kind):
@@ -207,18 +185,20 @@ class PromptTuner(BaseEstimator):
     def _fit_node(self, model, prompts, head, dataset, train_ids, labels, opt, history):
         g = dataset.node_graph()
         y = labels[train_ids]
-        field = ReceptiveField(model, g, train_ids)
+        blocks = g.adjacency(model.kind).blocks(train_ids, model.num_layers)
+        last = blocks[-1].outputs  # None: every node
+        at = train_ids if last is None else np.searchsorted(last, train_ids)
         frozen_reps = None
         if prompts is None:
             # No prompts means the representations never change; compute once.
-            frozen_reps = prompted_representations(model, g, None, field).data
+            frozen_reps = prompted_representations(model, g, None, blocks).data
         logits = None
 
         def loss_fn():
             nonlocal logits
             reps = (Tensor(frozen_reps) if frozen_reps is not None
-                    else prompted_representations(model, g, prompts, field))
-            logits = classifier_forward(head, reps)
+                    else prompted_representations(model, g, prompts, blocks))
+            logits = classifier_forward(head, T.gather_rows(reps, at))
             return T.cross_entropy_with_logits(logits, y)
 
         for epoch in range(self.epochs):

@@ -386,8 +386,10 @@ class TestConfigFile:
 
 
 # each once escaped as a bare ZeroDivisionError, OverflowError, ValueError
-# or IndexError, exited 1 (temperature nan), or wrote an artifact that its
-# loader rejects (num-graphs 0, lr nan or inf)
+# or IndexError, exited 1 (temperature nan, noise-scale inf), wrote an
+# artifact that its loader rejects (num-graphs 0, lr nan or inf), wrote a
+# checkpoint whose two views were one model (noise-scale nan or -1), or
+# left an empty output directory (tune)
 @pytest.mark.parametrize("argv", [
     ["pretrain", "--strategy", "graphcl", "--hidden", "0"],
     ["pretrain", "--strategy", "graphcl", "--hidden", "-3"],
@@ -395,6 +397,9 @@ class TestConfigFile:
     ["pretrain", "--strategy", "graphcl", "--lr", "nan"],
     ["pretrain", "--strategy", "ep-gppt", "--lr", "inf"],
     ["pretrain", "--strategy", "simgrace", "--temperature", "nan"],
+    ["pretrain", "--strategy", "simgrace", "--noise-scale", "nan"],
+    ["pretrain", "--strategy", "simgrace", "--noise-scale", "-1"],
+    ["pretrain", "--strategy", "simgrace", "--noise-scale", "inf"],
     ["tune", "--method", "edgeprompt", "--seeds", "-1"],
     ["tune", "--method", "edgeprompt", "--lr", "nan"],
     ["verify", "theorem1", "--p", "0.8", "--q", "0.2", "--T", "2", "--nodes", "0"],
@@ -420,5 +425,4 @@ def test_out_of_range_value_exits_2_without_writing(argv, node_ds_path, ckpt_pat
              "verify": ["--out", str(out)],
              "gen-csbm": ["--out", str(out)]}
     assert main(argv + paths[argv[0]]) == 2
-    # nothing written (tune makes its output directory first)
-    assert not out.is_file() and not (out.is_dir() and any(out.iterdir()))
+    assert not out.exists()

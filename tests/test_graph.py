@@ -155,6 +155,9 @@ class TestNormalizedAdjacency:
 
 
 class TestRestrict:
+    """The whole-graph operator restricted to the message-flow chain of
+    some rows (``Adjacency.blocks``)."""
+
     @pytest.mark.parametrize("kind", ["gcn", "gin"])
     @pytest.mark.parametrize("seed", range(8))
     def test_field_and_entries(self, kind, seed):
@@ -162,50 +165,107 @@ class TestRestrict:
         g = graph_with_isolated_nodes(rng, 30, 0.07)
         adj = g.adjacency(kind)
         rows = isolated_and_hub_rows(rng, g)
-        for hops in range(4):
-            out = adj.restrict(rows, hops)
-            field = bfs_field(g, rows, hops)
-            if field.size == g.num_nodes:
-                assert out is None
-                continue
-            nodes, sub = out
-            np.testing.assert_array_equal(nodes, field)
-            # the parent's entries inside the field, renumbered, in CSR order
-            keep = np.isin(adj.owners, nodes) & np.isin(adj.targets, nodes)
-            np.testing.assert_array_equal(nodes[sub.owners], adj.owners[keep])
-            np.testing.assert_array_equal(nodes[sub.targets], adj.targets[keep])
-            np.testing.assert_array_equal(sub.coeffs, adj.coeffs[keep])
-            if kind == "gcn":
-                np.testing.assert_array_equal(sub.self_coeffs, adj.self_coeffs[nodes])
-            else:
-                assert sub.self_coeffs is None
-            assert sub.num_nodes == nodes.size
-            np.testing.assert_array_equal(sub.counts,
-                                          np.bincount(sub.owners, minlength=nodes.size))
-            np.testing.assert_array_equal(sub.owners[sub.starts], sub.rows)
+        for layers in range(1, 5):
+            chain = adj.blocks(rows, layers)
+            assert len(chain) == layers
+            # from the last block back: block l's inputs are its outputs
+            # and their neighbours, or every node when the rows left out
+            # own under 1/64 of the entries
+            outputs = rows
+            for block in chain[::-1]:
+                if outputs.size == g.num_nodes:
+                    assert block is adj
+                    continue
+                inputs = bfs_field(g, outputs, 1)
+                if 64 * np.delete(g.degrees(), inputs).sum() < adj.owners.size:
+                    inputs = np.arange(g.num_nodes)
+                np.testing.assert_array_equal(block.outputs, outputs)
+                np.testing.assert_array_equal(block.inputs, inputs)
+                assert (block.num_out, block.num_in) == (outputs.size, inputs.size)
+                # the whole graph's entries owned by the outputs, in CSR order
+                keep = np.isin(adj.owners, outputs)
+                np.testing.assert_array_equal(outputs[block.owners], adj.owners[keep])
+                np.testing.assert_array_equal(inputs[block.targets], adj.targets[keep])
+                np.testing.assert_array_equal(block.coeffs, adj.coeffs[keep])
+                if kind == "gcn":
+                    np.testing.assert_array_equal(block.self_coeffs, adj.self_coeffs[outputs])
+                else:
+                    assert block.self_coeffs is None
+                if inputs.size == outputs.size:
+                    assert block.own is None
+                else:
+                    np.testing.assert_array_equal(inputs[block.own], outputs)
+                np.testing.assert_array_equal(block.counts,
+                                              np.bincount(block.owners, minlength=outputs.size))
+                np.testing.assert_array_equal(block.owners[block.starts], block.rows)
+                outputs = inputs
 
     def test_rows_keep_all_entries_inside_the_field(self):
-        # on a path, every node strictly inside the field keeps its degree
+        # on a path, every output row keeps its whole degree
         g = line_graph(9)
-        nodes, sub = g.adjacency("gcn").restrict([4], 2)
-        np.testing.assert_array_equal(nodes, [2, 3, 4, 5, 6])
-        np.testing.assert_array_equal(sub.counts, [1, 2, 2, 2, 1])
-        np.testing.assert_allclose(sub.coeffs[:1], [1.0 / 3.0])
+        first, last = g.adjacency("gcn").blocks([4], 2)
+        np.testing.assert_array_equal(last.outputs, [4])
+        np.testing.assert_array_equal(last.inputs, [3, 4, 5])
+        np.testing.assert_array_equal(last.counts, [2])
+        np.testing.assert_array_equal(last.own, [1])
+        np.testing.assert_array_equal(first.outputs, [3, 4, 5])
+        np.testing.assert_array_equal(first.inputs, [2, 3, 4, 5, 6])
+        np.testing.assert_array_equal(first.counts, [2, 2, 2])
+        np.testing.assert_allclose(first.coeffs[:1], [1.0 / 3.0])
 
-    def test_whole_graph_field_is_none(self):
+    def test_whole_graph_block_is_the_cached_operator(self):
         g = line_graph(5)
-        assert g.adjacency("gin").restrict([0], 4) is None
-        assert g.adjacency("gin").restrict([0], 40) is None
-        assert g.adjacency("gin").restrict(np.arange(5), 0) is None
-        nodes, _ = g.adjacency("gin").restrict([0], 3)
-        np.testing.assert_array_equal(nodes, [0, 1, 2, 3])
+        adj = g.adjacency("gin")
+        chain = adj.blocks([0], 5)
+        assert chain[0] is adj
+        assert all(block is not adj for block in chain[1:])
+        np.testing.assert_array_equal(chain[1].inputs, np.arange(5))
+        assert all(block is adj for block in adj.blocks(np.arange(5), 3))
+
+    def test_nearly_whole_graph_inputs_take_the_graph_operator(self):
+        # node 20 is no neighbour of node 0 and owns 1 of 382 entries, so
+        # layer 0 runs on the whole graph rather than on a copy of it
+        edges = [(a, b) for a in range(20) for b in range(a + 1, 20)] + [(19, 20)]
+        g = Graph(21, edges, np.zeros((21, 1)))
+        adj = g.adjacency("gcn")
+        first, last = adj.blocks([0], 2)
+        assert first is adj
+        np.testing.assert_array_equal(last.inputs, np.arange(21))
+        assert last.num_out == 1 and last.owners.size == 19
 
     def test_field_of_an_isolated_node_has_no_entries(self):
         g = Graph(4, [(0, 1), (1, 2)], np.zeros((4, 1)))
-        nodes, sub = g.adjacency("gcn").restrict([3], 2)
-        np.testing.assert_array_equal(nodes, [3])
-        assert sub.owners.size == 0 and sub.starts.size == 0
-        np.testing.assert_array_equal(sub.self_coeffs, [1.0])
+        for block in g.adjacency("gcn").blocks([3], 2):
+            np.testing.assert_array_equal(block.outputs, [3])
+            np.testing.assert_array_equal(block.inputs, [3])
+            assert block.owners.size == 0 and block.starts.size == 0
+            assert block.own is None
+            np.testing.assert_array_equal(block.self_coeffs, [1.0])
+
+    def test_transpose_holds_the_entries_by_input_row(self):
+        g = line_graph(9)
+        _, last = g.adjacency("gcn").blocks([4, 8], 2)
+        t = last.transpose
+        assert (t.num_out, t.num_in) == (last.num_in, last.num_out)
+        dense = np.zeros((last.num_out, last.num_in))
+        dense[last.owners, last.targets] = last.coeffs
+        dense_t = np.zeros((t.num_out, t.num_in))
+        dense_t[t.owners, t.targets] = t.coeffs
+        np.testing.assert_array_equal(dense_t, dense.T)
+        assert np.all(np.diff(t.owners) >= 0)
+
+    @pytest.mark.parametrize("kind", ["gcn", "gin"])
+    def test_coeff_sums_are_the_propagation_of_ones(self, kind):
+        # bitwise, so a one-anchor prompt mixes exactly as before
+        from edgeprompt.tensor import Tensor, propagate
+
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            g = graph_with_isolated_nodes(rng, 30, 0.2)
+            adj = g.adjacency(kind)
+            for block in [adj] + adj.blocks(isolated_and_hub_rows(rng, g), 2):
+                ones = propagate(Tensor.ones(block.num_in, 1), block).data
+                np.testing.assert_array_equal(block.coeff_sums, ones)
 
 
 class TestDisjointUnion:

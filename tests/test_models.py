@@ -51,7 +51,7 @@ def dense_gin_aggregate_reference(g, h, eps, prompts=None):
 def prompt_term(values, adj):
     """sum_j c_ij v_ij per node, for one row of ``values`` per entry of ``adj``."""
     return T.scatter_add_rows(T.scale_rows(Tensor(values), adj.coeffs), adj.owners,
-                              adj.num_nodes)
+                              adj.num_out)
 
 
 class TestGCNLayer:

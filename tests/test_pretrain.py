@@ -189,6 +189,17 @@ class TestSimGRACE:
         after = {n: t.data.tobytes() for n, t in model.named_parameters()}
         assert before == after
 
+    @pytest.mark.parametrize("scale", [float("nan"), -1.0, float("inf")])
+    def test_noise_scale_must_be_finite_and_non_negative(self, scale):
+        # a negative or NaN scale once made both views the same model
+        for ds in (tiny_graph_dataset(4), two_cliques()):
+            with pytest.raises(ConfigError, match="noise_scale"):
+                self._pretrainer(noise_scale=scale).fit(ds)
+
+    def test_zero_noise_scale_is_allowed(self):
+        est = self._pretrainer(noise_scale=0.0).fit(two_cliques())
+        assert len(est.history_) == 1
+
     def test_loss_trends_down_on_csbm_graphs(self):
         ds = tiny_graph_dataset(32, n_per_class=5, seed=4)
         est = self._pretrainer(epochs=50, lr=5e-3, noise_scale=0.1, seed=2).fit(ds)

@@ -12,7 +12,7 @@ from conftest import random_connected_graph, rel_err
 
 def per_entry_sum(adj, rows):
     """Loop re-statement of the prompt term: sum_j c_ij e_ij per node."""
-    out = np.zeros((adj.num_nodes, rows.shape[1]))
+    out = np.zeros((adj.num_out, rows.shape[1]))
     for k in range(rows.shape[0]):
         out[adj.owners[k]] += adj.coeffs[k] * rows[k]
     return out

@@ -141,6 +141,21 @@ class TestScatterAdd:
 
 # node 3 has no entries
 _ISOLATED = Graph(4, [(0, 1), (1, 2), (0, 2)], np.zeros((4, 1)))
+# a path 0-1-2-3-4 and an isolated node 5
+_PATH = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4)], np.zeros((6, 1)))
+
+
+def _rect_block(kind):
+    """The one-layer block of nodes 1 and 5 of ``_PATH``: inputs 0, 1, 2, 5.
+    Output row 5 owns no entry; input rows 1 and 5 are read by none."""
+    return _PATH.adjacency(kind).blocks([1, 5], 1)[0]
+
+
+def _dense_block(adj):
+    """A block's n_out x n_in coefficient matrix."""
+    dense = np.zeros((adj.num_out, adj.num_in))
+    dense[adj.owners, adj.targets] = adj.coeffs
+    return dense
 
 
 class TestPropagate:
@@ -164,16 +179,52 @@ class TestPropagate:
         adj = _ISOLATED.adjacency("gcn")
         with pytest.raises(ShapeError):
             T.propagate(Tensor(np.zeros((3, 2))), adj)
+        with pytest.raises(ShapeError):
+            T.propagate(Tensor(np.zeros((2, 2))), _rect_block("gcn"))
+
+    def test_blocks_match_dense_and_its_transpose(self):
+        # every block of random graphs with several components: the value
+        # is D x and the gradient D^T g for the block's n_out x n_in matrix
+        from conftest import graph_with_isolated_nodes
+
+        r = np.random.default_rng(6)
+        for _ in range(10):
+            g = graph_with_isolated_nodes(r, 30, 0.06)
+            rows = r.choice(g.num_nodes, size=3, replace=False)
+            for kind in ("gcn", "gin"):
+                for adj in g.adjacency(kind).blocks(rows, 3):
+                    dense = _dense_block(adj)
+                    x = r.uniform(-1, 1, (adj.num_in, 2))
+                    w = r.uniform(-1, 1, (adj.num_out, 2))
+                    out = T.propagate(Tensor(x), adj).data
+                    (grad,) = grad_of(
+                        lambda t: T.sum_all(T.mul(T.propagate(t, adj), Tensor(w))), x)
+                    np.testing.assert_allclose(out, dense @ x, atol=1e-12)
+                    np.testing.assert_allclose(grad, dense.T @ w, atol=1e-12)
+
+    def test_square_block_is_symmetric(self):
+        # rows that hold whole components give a square block, whose
+        # backward is its own forward
+        g = Graph(7, [(0, 1), (1, 2), (3, 4), (5, 6), (4, 6)], np.zeros((7, 1)))
+        for kind in ("gcn", "gin"):
+            adj = g.adjacency(kind)
+            first, last = adj.blocks([0, 1, 2], 2)
+            assert first.own is None and last.own is None
+            np.testing.assert_array_equal(last.outputs, [0, 1, 2])
+            np.testing.assert_array_equal(last.inputs, [0, 1, 2])
+            dense = _dense_block(last)
+            np.testing.assert_array_equal(dense, dense.T)
 
 
 def _unfused_edge_softmax_sum(logits, adj, slope):
-    """The five-op chain the fused op replaces, on N x 2M logits [a | b]."""
+    """The five-op chain the fused op replaces, on n_in x 2M logits [a | b]."""
     m = logits.shape[1] // 2
     a = T.matmul(logits, Tensor(np.eye(2 * m)[:, :m]))
     b = T.matmul(logits, Tensor(np.eye(2 * m)[:, m:]))
-    y = T.add(T.gather_rows(a, adj.owners), T.gather_rows(b, adj.targets))
+    own = adj.owners if adj.own is None else adj.own[adj.owners]
+    y = T.add(T.gather_rows(a, own), T.gather_rows(b, adj.targets))
     scores = T.scale_rows(T.softmax_rows(T.leaky_relu(y, slope)), adj.coeffs)
-    return T.scatter_add_rows(scores, adj.owners, adj.num_nodes)
+    return T.scatter_add_rows(scores, adj.owners, adj.num_out)
 
 
 def _graph_with_isolated_nodes(r, n):
@@ -190,18 +241,20 @@ class TestEdgeSoftmaxSum:
         for _ in range(20):
             n, m = int(r.integers(2, 30)), int(r.integers(1, 6))
             g = _graph_with_isolated_nodes(r, n)
-            logits = r.uniform(-3, 3, (n, 2 * m))
-            w = Tensor(r.uniform(-1, 1, (n, m)))
+            rows = r.choice(n, size=2, replace=False)
             for kind in ("gcn", "gin"):
-                adj = g.adjacency(kind)
-                outs = []
-                for op in (T.edge_softmax_sum, _unfused_edge_softmax_sum):
-                    (grad,) = grad_of(
-                        lambda t: T.sum_all(T.mul(op(t, adj, 0.3), w)), logits)
-                    outs.append((op(Tensor(logits), adj, 0.3).data, grad))
-                (z, gz), (ref, gref) = outs
-                assert rel_err(z, ref) < 1e-12
-                assert rel_err(gz, gref) < 1e-12
+                # the whole graph's operator and the blocks of two rows
+                for adj in [g.adjacency(kind)] + g.adjacency(kind).blocks(rows, 2):
+                    logits = r.uniform(-3, 3, (adj.num_in, 2 * m))
+                    w = Tensor(r.uniform(-1, 1, (adj.num_out, m)))
+                    outs = []
+                    for op in (T.edge_softmax_sum, _unfused_edge_softmax_sum):
+                        (grad,) = grad_of(
+                            lambda t: T.sum_all(T.mul(op(t, adj, 0.3), w)), logits)
+                        outs.append((op(Tensor(logits), adj, 0.3).data, grad))
+                    (z, gz), (ref, gref) = outs
+                    assert rel_err(z, ref) < 1e-12
+                    assert rel_err(gz, gref) < 1e-12
 
     def test_scores_match_unfused_chain(self):
         r = np.random.default_rng(4)
@@ -508,6 +561,27 @@ _OP_CASES = {
     "edge_softmax_sum_gin": lambda rng: (
         lambda a, w=Tensor(rng.uniform(-1, 1, (4, 3))): T.sum_all(
             T.mul(T.edge_softmax_sum(a, _ISOLATED.adjacency("gin"), 0.2), w)),
+        [rng.uniform(-2, 2, (4, 6))],
+    ),
+    # rectangular blocks: 4 input rows, 2 output rows
+    "propagate_block_gcn": lambda rng: (
+        lambda a, w=Tensor(rng.uniform(-1, 1, (2, 2))): T.sum_all(
+            T.mul(T.propagate(a, _rect_block("gcn")), w)),
+        [rng.uniform(-1, 1, (4, 2))],
+    ),
+    "propagate_block_gin": lambda rng: (
+        lambda a, w=Tensor(rng.uniform(-1, 1, (2, 2))): T.sum_all(
+            T.mul(T.propagate(a, _rect_block("gin")), w)),
+        [rng.uniform(-1, 1, (4, 2))],
+    ),
+    "edge_softmax_sum_block_gcn": lambda rng: (
+        lambda a, w=Tensor(rng.uniform(-1, 1, (2, 3))): T.sum_all(
+            T.mul(T.edge_softmax_sum(a, _rect_block("gcn"), 0.2), w)),
+        [rng.uniform(-2, 2, (4, 6))],
+    ),
+    "edge_softmax_sum_block_gin": lambda rng: (
+        lambda a, w=Tensor(rng.uniform(-1, 1, (2, 3))): T.sum_all(
+            T.mul(T.edge_softmax_sum(a, _rect_block("gin"), 0.2), w)),
         [rng.uniform(-2, 2, (4, 6))],
     ),
     "slice_rows": lambda rng: (

@@ -6,7 +6,7 @@ import pytest
 
 from edgeprompt import tensor as T
 from edgeprompt import tuning
-from edgeprompt.checkpoint import build_model, checkpoint_from_model, serialize_checkpoint
+from edgeprompt.checkpoint import checkpoint_from_model, serialize_checkpoint
 from edgeprompt.data import CSBMParams, FewShotSplit, LabeledDataset, csbm_graph_dataset, kshot_sample
 from edgeprompt.errors import ConfigError, FormatError, NonFiniteError, NotFittedError
 from edgeprompt.graph import Adjacency, Graph
@@ -17,7 +17,6 @@ from edgeprompt.tensor import Tape, Tensor, finite_difference_gradient
 from edgeprompt.tuning import (
     METHODS,
     PromptTuner,
-    ReceptiveField,
     evaluate_accuracy,
     prompted_representations,
     prompts_from_artifact,
@@ -313,7 +312,7 @@ def test_get_params_includes_checkpoint():
 
 
 # ---------------------------------------------------------------------------
-# node tuning on the labeled rows' receptive field
+# node tuning on the labeled rows' message-flow chain
 
 FIELD_CASES = [(kind, layers) for kind in ("gcn", "gin") for layers in (1, 2, 3)]
 
@@ -338,14 +337,18 @@ def tuned_tensors(tuner):
 
 
 def full_graph_fits(monkeypatch, fit):
-    """``fit`` for every method with no receptive field: the layers run on
-    the whole graph every epoch and the labeled rows are gathered after."""
+    """``fit`` for every method on the whole-graph reference chain: every
+    layer runs on the graph's own operator every epoch and the labeled
+    rows are gathered after."""
     with monkeypatch.context() as mp:
-        mp.setattr(Adjacency, "restrict", lambda self, rows, hops: None)
+        mp.setattr(Adjacency, "blocks", lambda self, rows, layers: [self] * layers)
         return {method: fit(method) for method in METHODS}
 
 
 class TestReceptiveField:
+    """Node tuning on the labeled rows' receptive field, one block of
+    their message-flow chain per layer."""
+
     @pytest.mark.parametrize("kind,layers", FIELD_CASES)
     def test_rows_equal_full_graph_rows(self, kind, layers):
         ds, split, ckpt = sparse_node_task(kind, layers)
@@ -354,11 +357,12 @@ class TestReceptiveField:
             # a few steps so that every prompt tensor is non-zero
             tuner = PromptTuner(ckpt, method=method, epochs=3, lr=0.1, anchors=2,
                                 seed=1).fit(ds, split)
-            field = ReceptiveField(tuner.model_, g, split.train_ids)
-            assert field.adj is not None and field.adj.num_nodes < g.num_nodes
-            part = prompted_representations(tuner.model_, g, tuner.prompts_, field).data
+            blocks = g.adjacency(tuner.model_.kind).blocks(split.train_ids, layers)
+            assert all(b.num_in < g.num_nodes for b in blocks)
+            part = prompted_representations(tuner.model_, g, tuner.prompts_, blocks).data
             full = prompted_representations(tuner.model_, g, tuner.prompts_).data
-            assert rel_err(part, full[split.train_ids]) < 1e-12, method
+            np.testing.assert_array_equal(blocks[-1].outputs, np.sort(split.train_ids))
+            assert rel_err(part, full[blocks[-1].outputs]) < 1e-12, method
 
     @pytest.mark.parametrize("kind,layers", FIELD_CASES)
     def test_restricted_loss_gradients(self, kind, layers):
@@ -368,10 +372,11 @@ class TestReceptiveField:
             tuner = PromptTuner(ckpt, method=method, epochs=2, lr=0.1, anchors=2,
                                 seed=2).fit(ds, split)
             model, prompts, head = tuner.model_, tuner.prompts_, tuner.head_
-            field = ReceptiveField(model, g, split.train_ids)
+            blocks = g.adjacency(model.kind).blocks(split.train_ids, layers)
+            at = np.searchsorted(blocks[-1].outputs, split.train_ids)
 
             def loss_fn():
-                reps = prompted_representations(model, g, prompts, field)
+                reps = T.gather_rows(prompted_representations(model, g, prompts, blocks), at)
                 return T.cross_entropy_with_logits(classifier_forward(head, reps), y)
 
             trainable = ([] if prompts is None else prompts.trainable())
@@ -410,11 +415,16 @@ class TestReceptiveField:
             for name, arr in tuned_tensors(tuner).items():
                 assert rel_err(arr, ref[name]) < 1e-12, (method, name)
 
-    def test_whole_graph_field_keeps_the_full_path_bitwise(self, clique_ds, clique_split,
-                                                           monkeypatch):
+    def test_whole_graph_first_block_is_the_graph_operator(self, clique_ds, clique_split,
+                                                            monkeypatch):
+        # the labeled rows' neighbours are every node: layer 0 runs on the
+        # cached operator itself, the last layer on the labeled rows only
         ckpt = node_checkpoint(seed=6)
         g = clique_ds.graphs[0]
-        assert ReceptiveField(build_model(ckpt), g, clique_split.train_ids).adj is None
+        adj = g.adjacency("gcn")
+        first, last = adj.blocks(clique_split.train_ids, 2)
+        assert first is adj
+        assert last.num_out == clique_split.train_ids.size and last.num_in == g.num_nodes
 
         def fit(method):
             return PromptTuner(ckpt, method=method, epochs=20, lr=0.05, anchors=2,
@@ -423,10 +433,12 @@ class TestReceptiveField:
         full = full_graph_fits(monkeypatch, fit)
         for method in METHODS:
             tuner = fit(method)
-            assert tuner.history_ == full[method].history_, method
+            for key in ("loss", "train_acc", "grad_norm"):
+                np.testing.assert_allclose(tuner.history_[key], full[method].history_[key],
+                                           rtol=1e-12, atol=1e-12, err_msg=method)
             ref = tuned_tensors(full[method])
             for name, arr in tuned_tensors(tuner).items():
-                np.testing.assert_array_equal(arr, ref[name], err_msg=name)
+                assert rel_err(arr, ref[name]) < 1e-12, (method, name)
 
 
 def test_node_task_union_is_built_once(monkeypatch):
