@@ -10,6 +10,8 @@ on scikit-learn itself.
 from __future__ import annotations
 
 import inspect
+import os
+import tempfile
 
 import numpy as np
 
@@ -72,3 +74,19 @@ def seeded_rng(seed, *stream: int) -> np.random.Generator:
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng([int(seed), *stream])
+
+
+def atomic_write(path, blob: bytes) -> None:
+    """Write ``blob`` to ``path`` by renaming a temporary file beside it
+    (making the directory): an interrupted write leaves the old file whole."""
+    directory = os.path.dirname(os.fspath(path)) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

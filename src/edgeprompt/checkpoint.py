@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .base import atomic_write
 from .errors import CompatibilityError, FormatError, ShapeError
 from .models import GCN, GIN, GNNModel
 
@@ -140,21 +139,8 @@ def serialize_checkpoint(ckpt: Checkpoint) -> bytes:
     return _serialize(CHECKPOINT_MAGIC, header, ckpt.tensors)
 
 
-def _atomic_write(path, blob: bytes) -> None:
-    directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    _atomic_write(path, serialize_checkpoint(ckpt))
+    atomic_write(path, serialize_checkpoint(ckpt))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -259,7 +245,7 @@ def serialize_prompts(lp: LearnedPrompts) -> bytes:
 
 
 def save_prompts(lp: LearnedPrompts, path) -> None:
-    _atomic_write(path, serialize_prompts(lp))
+    atomic_write(path, serialize_prompts(lp))
 
 
 def load_prompts(path) -> LearnedPrompts:

@@ -22,6 +22,7 @@ import time
 
 import numpy as np
 
+from .base import atomic_write
 from .checkpoint import (
     check_compatible,
     build_model,
@@ -68,17 +69,8 @@ def _out_path(path: str) -> str:
     return path
 
 
-def _write_bytes(path: str, blob: bytes) -> None:
-    from .checkpoint import _atomic_write
-
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    _atomic_write(path, blob)
-
-
 def _write_json(path: str, payload: dict) -> None:
-    _write_bytes(path, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
+    atomic_write(path, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
 
 
 def _int_list(text: str) -> list[int]:
@@ -120,9 +112,6 @@ def _cmd_pretrain(args) -> int:
     est = cls(**{name: getattr(args, _PRETRAIN_FLAGS.get(name, name))
                  for name in cls._param_names()}).fit(ds)
     out = _out_path(args.out)
-    directory = os.path.dirname(out)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
     save_checkpoint(est.checkpoint_, out)
     print(f"pretrained strategy={args.strategy} epochs={args.epochs} "
           f"final_loss={est.history_[-1]:.6f} checkpoint={out}")
@@ -140,6 +129,8 @@ def _cmd_tune(args) -> int:
         raise ConfigError("--seeds must name at least one seed")
     if args.anchors is not None and not args.anchors:
         raise ConfigError("--anchors must name at least one anchor count")
+    if args.anchors and len(args.anchors) > 1 and args.method not in ("edgeprompt+", "gpf-plus"):
+        raise ConfigError(f"--anchors sweeps anchor counts, which {args.method} does not use")
     out_dir = _out_path(args.out_dir)
     started = time.time()
     anchor_counts = args.anchors if args.anchors else [None]
@@ -163,7 +154,6 @@ def _cmd_tune(args) -> int:
             }
             if args.method != "classifier-only":
                 name = f"{args.prefix}_a{tuner.anchors_[0]}_s{seed}.prompts"
-                os.makedirs(out_dir, exist_ok=True)
                 save_prompts(tuner.to_learned_prompts(), os.path.join(out_dir, name))
                 entry["prompt_file"] = name
             seed_entries.append(entry)
@@ -202,7 +192,7 @@ def _cmd_tune(args) -> int:
     writer = csv.writer(buf)
     writer.writerow(CSV_COLUMNS)
     writer.writerows(csv_rows)
-    _write_bytes(os.path.join(out_dir, f"{args.prefix}_report.csv"),
+    atomic_write(os.path.join(out_dir, f"{args.prefix}_report.csv"),
                  buf.getvalue().encode("utf-8"))
     for run in runs:
         print(f"anchors={run['anchors']} mean_test_acc={run['mean_test_acc']} "
@@ -297,9 +287,6 @@ def _cmd_gen_csbm(args) -> int:
         ds = csbm_graph_dataset(params, other, num_graphs=args.num_graphs,
                                 seed=args.seed)
     out = _out_path(args.out)
-    directory = os.path.dirname(out)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
     save_dataset(ds, out)
     print(f"wrote {args.task} dataset: {out}")
     return 0

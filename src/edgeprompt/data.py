@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import seeded_rng
+from .base import atomic_write, seeded_rng
 from .errors import (ConfigError, DatasetError, FormatError, InsufficientDataError,
                      ShapeError)
 from .graph import Graph, disjoint_union
@@ -49,7 +49,7 @@ class LabeledDataset:
     node_labels: list[np.ndarray] | None = None
     graph_labels: np.ndarray | None = None
     load_stats: dict = field(default_factory=dict)
-    _node_graph: Graph | None = field(default=None, init=False, repr=False, compare=False)
+    _node_union: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.node_labels is None) == (self.graph_labels is None):
@@ -84,13 +84,19 @@ class LabeledDataset:
 
     def node_graph(self) -> Graph:
         """All of the dataset's nodes as one graph, in instance order: the
-        one graph, or the disjoint union of several, built once.  For a
-        node task its nodes are the instances; the edge-prediction
-        pre-training strategies also use it on graph datasets."""
-        if self._node_graph is None:
-            self._node_graph = (self.graphs[0] if len(self.graphs) == 1
-                                else disjoint_union(self.graphs)[0])
-        return self._node_graph
+        one graph, or the disjoint union of several.  Its nodes are a node
+        task's instances and its components a graph task's; tuning,
+        prediction and edge-prediction pre-training all run on it."""
+        return self.node_union()[0]
+
+    def node_union(self) -> tuple[Graph, np.ndarray]:
+        """``node_graph()`` and its offset table, built once: graph k's
+        nodes are its rows from ``offsets[k]`` up to ``offsets[k + 1]``."""
+        if self._node_union is None:
+            g = self.graphs[0]
+            self._node_union = ((g, np.array([0, g.num_nodes])) if len(self.graphs) == 1
+                                else disjoint_union(self.graphs))
+        return self._node_union
 
     @property
     def feature_dim(self) -> int:
@@ -217,8 +223,7 @@ def save_dataset(ds: LabeledDataset, path) -> None:
         else:
             entry["graph_label"] = int(ds.graph_labels[k])
         payload["graphs"].append(entry)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    atomic_write(path, json.dumps(payload).encode("utf-8"))
 
 
 @dataclass

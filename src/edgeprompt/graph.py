@@ -173,14 +173,23 @@ class Adjacency:
 
     def blocks(self, rows, layers: int) -> "list[Adjacency]":
         """The blocks an L-layer model runs on to give this whole-graph
-        operator's outputs at ``rows``: block l maps rows B^l to B^{l+1},
-        where B^L is the sorted distinct ``rows`` and B^l adds B^{l+1}'s
-        neighbours (or every node, when those rows own all but 1/64 of the
-        entries).  It holds this operator's entries owned by B^{l+1},
-        in CSR order, with their coefficients; a block whose output rows
-        are every node is this operator itself.
+        operator's outputs at ``rows``: block l maps rows B^l to B^{l+1}.
+        B^L is ``rows`` (sorted if not distinct); B^l is B^{l+1} if those
+        rows are whole components (the block is then their disjoint union's
+        operator, in their order), else them and their neighbours, sorted.
+        Any B^l whose rows own all but 1/64 of the entries is every node.
+        Block l holds this operator's entries owned by B^{l+1}, row by row
+        in CSR order; one that outputs every node is this operator itself.
         """
-        outputs, chain = unique_sorted(np.asarray(rows, dtype=np.int64)), []
+        def widen(mask):  # copying nearly every entry would save little: take all nodes
+            mask |= 64 * self.counts[~mask].sum() < self.owners.size
+            return np.count_nonzero(mask)  # the rows it now holds
+
+        rows = np.asarray(rows, dtype=np.int64)
+        inside = np.zeros(self.num_out, dtype=bool)
+        inside[rows] = True
+        outputs = rows if widen(inside) == rows.size else np.flatnonzero(inside)
+        chain = []
         for _ in range(layers):
             if outputs.size == self.num_out:
                 chain.append(self)
@@ -191,15 +200,14 @@ class Adjacency:
             entries = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
             inside = np.zeros(self.num_out, dtype=bool)
             inside[outputs] = inside[self.targets[entries]] = True
-            # copying nearly every entry each fit would save little: take all nodes
-            if 64 * self.counts[~inside].sum() < self.owners.size:
-                inside[:] = True
-            local = np.cumsum(inside) - 1  # a node's position among the inputs
+            inputs = outputs if widen(inside) == outputs.size else np.flatnonzero(inside)
+            local = np.zeros(self.num_out, dtype=np.int64)  # a node's position among the inputs
+            local[inputs] = np.arange(inputs.size)
             self_coeffs = None if self.self_coeffs is None else self.self_coeffs[outputs]
             chain.append(Adjacency(np.repeat(np.arange(outputs.size), counts),
                                    local[self.targets[entries]], offsets, self.coeffs[entries],
-                                   self_coeffs, np.flatnonzero(inside), outputs))
-            outputs = chain[-1].inputs
+                                   self_coeffs, inputs, outputs))
+            outputs = inputs
         return chain[::-1]
 
 

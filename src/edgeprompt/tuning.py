@@ -2,12 +2,12 @@
 
 :class:`PromptTuner` is the one estimator for both downstream tasks: it
 learns prompt parameters (per ``method``) and a linear probe on top of a
-checkpointed backbone whose weights are never touched.  Node
-classification takes one step per epoch on the mean cross entropy over
-all labeled nodes, running layer l on block l of their message-flow
-chain (``Adjacency.blocks``), only the rows that they read through the
-layers left; graph classification batches disjoint unions and applies a
-readout before the probe.
+checkpointed backbone whose weights are never touched.  A batch of
+instances is a set of node rows of the dataset's one cached graph
+(``LabeledDataset.node_graph``): a node task's ids, or a graph task's
+graphs' nodes, read out per graph before the probe.  Layer l runs on
+block l of their message-flow chain (``Adjacency.blocks``), only the
+rows that they read through the layers left.
 
 Methods: ``edgeprompt``, ``edgeprompt+``, ``gpf``, ``gpf-plus``, and
 ``classifier-only`` (no prompts; the probing baseline).
@@ -21,7 +21,7 @@ from .base import BaseEstimator, check_is_fitted, check_positive, seeded_rng
 from .checkpoint import Checkpoint, LearnedPrompts, build_model
 from .data import FewShotSplit, LabeledDataset
 from .errors import ConfigError, FormatError
-from .graph import Adjacency, Graph, disjoint_union, membership_from_offsets
+from .graph import Adjacency, Graph, unique_sorted
 from .models import GNNModel, LinearHead, classifier_forward, model_forward, readout
 from .optim import Adam, train_step
 from .prompts import EdgePromptPlusParams, NodePromptParams
@@ -30,7 +30,7 @@ from .tensor import Tensor
 
 METHODS = ("edgeprompt", "edgeprompt+", "gpf", "gpf-plus", "classifier-only")
 
-_EVAL_CHUNK = 128  # graphs per disjoint union during evaluation
+_EVAL_CHUNK = 128  # graphs per batch during evaluation
 
 
 def prompted_representations(model: GNNModel, g: Graph, prompt_params,
@@ -47,11 +47,41 @@ def prompted_representations(model: GNNModel, g: Graph, prompt_params,
     return model_forward(model, g, prompts=prompt_params, features=x, blocks=blocks)
 
 
-def _graph_logits(model, prompt_params, head, graphs, readout_kind):
-    union, offsets = disjoint_union(graphs)
-    h = prompted_representations(model, union, prompt_params)
-    reps = readout(h, membership_from_offsets(offsets), readout_kind)
-    return classifier_forward(head, reps)
+class _Batch:
+    """Instances ``ids`` as the ``rows`` of ``ds.node_graph()`` that their
+    chain runs on (a graph task's graphs' nodes in id order, whose chain
+    is their disjoint union), the rows read out in id order (``reads``)
+    and their graphs' positions in ``ids`` (``member``, graph task only)."""
+
+    def __init__(self, ds: LabeledDataset, ids):
+        self.ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        self.graph, offsets = ds.node_union()
+        count = offsets[-1] if ds.task == "node" else offsets.size - 1
+        if self.ids.size and (self.ids.min() < 0 or self.ids.max() >= count):
+            raise ConfigError(f"ids fall outside the dataset's {count} instances")
+        # a node task reads its ids out of the chain of their sorted rows
+        self.rows, self.reads, self.member = unique_sorted(self.ids), self.ids, None
+        if ds.task == "graph":
+            sizes = offsets[self.ids + 1] - offsets[self.ids]
+            self.member = np.repeat(np.arange(self.ids.size), sizes)
+            firsts = offsets[self.ids] - np.cumsum(sizes) + sizes
+            self.rows = self.reads = firsts[self.member] + np.arange(self.member.size)
+
+    def logits(self, model, prompt_params, head, readout_kind, blocks=None, reps=None):
+        """The probe's logits, run on a chain ``blocks`` (by default the
+        rows' own) or read from ``reps`` of its output rows."""
+        blocks = blocks or self.graph.adjacency(model.kind).blocks(self.rows, model.num_layers)
+        if reps is None:
+            reps = prompted_representations(model, self.graph, prompt_params, blocks)
+        at, outputs = self.reads, blocks[-1].outputs  # None: every node
+        if outputs is not None:  # each read row's position among the outputs
+            at = np.zeros(self.graph.num_nodes, dtype=np.int64)
+            at[outputs] = np.arange(outputs.size)
+            at = at[self.reads]
+        reps = T.gather_rows(reps, at)
+        if self.member is not None:
+            reps = readout(reps, self.member, readout_kind)
+        return classifier_forward(head, reps)
 
 
 def evaluate_accuracy(model: GNNModel, prompt_params, head: LinearHead,
@@ -69,22 +99,22 @@ def evaluate_accuracy(model: GNNModel, prompt_params, head: LinearHead,
 
 def predict_labels(model: GNNModel, prompt_params, head: LinearHead,
                    ds: LabeledDataset, ids, readout_kind: str = "sum") -> np.ndarray:
+    """Argmax labels of instances ``ids``: a node task's in one batch, a
+    graph task's in batches of ``_EVAL_CHUNK`` graphs."""
     ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-    if ds.task == "node":
-        reps = prompted_representations(model, ds.node_graph(), prompt_params)
-        logits = classifier_forward(head, T.gather_rows(reps, ids))
-        return np.argmax(logits.data, axis=1)
     preds = np.empty(ids.size, dtype=np.int64)
-    for start in range(0, ids.size, _EVAL_CHUNK):
-        chunk = ids[start : start + _EVAL_CHUNK]
-        logits = _graph_logits(model, prompt_params, head,
-                               [ds.graphs[i] for i in chunk], readout_kind)
-        preds[start : start + _EVAL_CHUNK] = np.argmax(logits.data, axis=1)
+    chunk = max(ids.size, 1) if ds.task == "node" else _EVAL_CHUNK
+    for start in range(0, ids.size, chunk):
+        logits = _Batch(ds, ids[start : start + chunk]).logits(model, prompt_params, head,
+                                                               readout_kind)
+        preds[start : start + chunk] = np.argmax(logits.data, axis=1)
     return preds
 
 
 class PromptTuner(BaseEstimator):
     """Learn prompts + a linear probe for a frozen checkpointed backbone.
+
+    Both tasks run batches as node rows of the dataset's one cached graph.
 
     Parameters
     ----------
@@ -129,14 +159,9 @@ class PromptTuner(BaseEstimator):
         a = self.anchors
         if a is None:
             a = 10 if task == "node" else 5
-        if isinstance(a, int):
-            counts = [a] * num_layers
-        else:
-            counts = [int(m) for m in a]
-            if len(counts) != num_layers:
-                raise ConfigError(
-                    f"{len(counts)} anchor counts for {num_layers} layers"
-                )
+        counts = [a] * num_layers if isinstance(a, int) else [int(m) for m in a]
+        if len(counts) != num_layers:
+            raise ConfigError(f"{len(counts)} anchor counts for {num_layers} layers")
         if any(m < 1 for m in counts):
             raise ConfigError(f"anchor counts must be >= 1, got {counts}")
         return counts
@@ -149,16 +174,11 @@ class PromptTuner(BaseEstimator):
             raise ConfigError("checkpoint must be a Checkpoint instance")
         model = build_model(self.checkpoint)
         if dataset.feature_dim != model.input_dim:
-            raise ConfigError(
-                f"dataset feature dim {dataset.feature_dim} does not match "
-                f"checkpoint input dim {model.input_dim}"
-            )
-        labels = dataset.all_labels()
-        train_ids = np.asarray(split.train_ids, dtype=np.int64)
-        if train_ids.size == 0:
+            raise ConfigError(f"dataset feature dim {dataset.feature_dim} does not match "
+                              f"checkpoint input dim {model.input_dim}")
+        train = _Batch(dataset, split.train_ids)
+        if train.ids.size == 0:
             raise ConfigError("split has no training instances")
-        if train_ids.min() < 0 or train_ids.max() >= labels.shape[0]:
-            raise ConfigError("split ids fall outside the dataset's instances")
 
         task = dataset.task
         self.anchors_ = self._resolve_anchors(task, model.num_layers)
@@ -170,67 +190,41 @@ class PromptTuner(BaseEstimator):
         trainable = ([] if prompts is None else prompts.trainable())
         opt = Adam(trainable + [t for _, t in head.parameters()], lr=self.lr)
         history = {"loss": [], "train_acc": [], "grad_norm": []}
-        fit = self._fit_node if task == "node" else self._fit_graph
-        fit(model, prompts, head, dataset, train_ids, labels, opt, history)
-
-        self.model_ = model
-        self.prompts_ = prompts
-        self.head_ = head
-        self.history_ = history
-        self.num_classes_ = dataset.num_classes
-        self.task_ = task
-        self.split_ = split
-        return self
-
-    def _fit_node(self, model, prompts, head, dataset, train_ids, labels, opt, history):
-        g = dataset.node_graph()
-        y = labels[train_ids]
-        blocks = g.adjacency(model.kind).blocks(train_ids, model.num_layers)
-        last = blocks[-1].outputs  # None: every node
-        at = train_ids if last is None else np.searchsorted(last, train_ids)
-        frozen_reps = None
-        if prompts is None:
-            # No prompts means the representations never change; compute once.
-            frozen_reps = prompted_representations(model, g, None, blocks).data
+        labels, g = dataset.all_labels(), train.graph
+        # a node task's one batch never changes, nor without prompts do the
+        # representations: then every step runs on the training rows' chain
+        chain = (g.adjacency(model.kind).blocks(train.rows, model.num_layers)
+                 if task == "node" or prompts is None else None)
+        frozen_reps = None if prompts is not None else prompted_representations(model, g, None, chain)
+        # a node task steps once per epoch on all labeled nodes, weight 1;
+        # a graph task on shuffled batches of batch_size, weighted by size
+        batch_rng = None if task == "node" else seeded_rng(self.seed, 0xBA7C)
+        step = train.ids.size if task == "node" else self.batch_size
         logits = None
 
-        def loss_fn():
+        def loss_fn():  # on the current batch
             nonlocal logits
-            reps = (Tensor(frozen_reps) if frozen_reps is not None
-                    else prompted_representations(model, g, prompts, blocks))
-            logits = classifier_forward(head, T.gather_rows(reps, at))
+            logits = batch.logits(model, prompts, head, self.readout, chain, frozen_reps)
             return T.cross_entropy_with_logits(logits, y)
 
         for epoch in range(self.epochs):
-            loss, grad_norm = train_step(opt, loss_fn, self._where(epoch))
-            history["loss"].append(loss.item())
-            history["train_acc"].append(float(np.mean(np.argmax(logits.data, axis=1) == y)))
-            history["grad_norm"].append(grad_norm)
-
-    def _fit_graph(self, model, prompts, head, dataset, train_ids, labels, opt, history):
-        batch_rng = seeded_rng(self.seed, 0xBA7C)
-        logits = None
-
-        def loss_fn():  # on the current batch's graphs and labels
-            nonlocal logits
-            logits = _graph_logits(model, prompts, head, graphs, self.readout)
-            return T.cross_entropy_with_logits(logits, y)
-
-        for epoch in range(self.epochs):
-            order = train_ids[batch_rng.permutation(train_ids.size)]
-            losses, norms, sizes, correct = [], [], [], 0
-            for start in range(0, order.size, self.batch_size):
-                batch = order[start : start + self.batch_size]
-                graphs = [dataset.graphs[i] for i in batch]
-                y = labels[batch]
+            order = train.ids if task == "node" else train.ids[batch_rng.permutation(train.ids.size)]
+            losses, norms, weights, correct = [], [], [], 0
+            for start in range(0, order.size, step):
+                batch = train if task == "node" else _Batch(dataset, order[start : start + step])
+                y = labels[batch.ids]
                 loss, grad_norm = train_step(opt, loss_fn, self._where(epoch))
                 losses.append(loss.item())
                 norms.append(grad_norm)
-                sizes.append(batch.size)
+                weights.append(1 if task == "node" else batch.ids.size)
                 correct += int(np.sum(np.argmax(logits.data, axis=1) == y))
-            history["loss"].append(float(np.average(losses, weights=sizes)))
+            history["loss"].append(float(np.average(losses, weights=weights)))
             history["train_acc"].append(correct / order.size)
-            history["grad_norm"].append(float(np.average(norms, weights=sizes)))
+            history["grad_norm"].append(float(np.average(norms, weights=weights)))
+
+        self.model_, self.prompts_, self.head_, self.history_ = model, prompts, head, history
+        self.num_classes_, self.task_, self.split_ = dataset.num_classes, task, split
+        return self
 
     def _where(self, epoch: int) -> str:
         return f"{self.method}, epoch {epoch + 1} of {self.epochs}"

@@ -185,6 +185,18 @@ class TestTuneCommand:
         rows = (tmp_path / "tune_report.csv").read_text().splitlines()
         assert len(rows) == 1 + 3  # header + one row per (anchors, seed)
 
+    @pytest.mark.parametrize("method", ["edgeprompt", "gpf", "classifier-only"])
+    def test_anchor_sweep_without_anchors_rejected(self, node_ds_path, ckpt_path,
+                                                   tmp_path, method, capsys):
+        # these methods use no anchor count: a sweep would fit the same run twice
+        out = tmp_path / "out"
+        rc = main(["tune", "--dataset", node_ds_path, "--checkpoint", ckpt_path,
+                   "--method", method, "--shots", "2", "--epochs", "2",
+                   "--seeds", "0", "--anchors", "2,5", "--out-dir", str(out)])
+        assert rc == 2
+        assert f"which {method} does not use" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_determinism_byte_stable_outputs(self, node_ds_path, ckpt_path,
                                              tmp_path):
         dirs = [tmp_path / "a", tmp_path / "b"]

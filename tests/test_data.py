@@ -145,6 +145,24 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="line 2"):
             load_dataset(path)
 
+    def test_save_makes_the_directory(self, tmp_path):
+        path = tmp_path / "new" / "ds.json"
+        save_dataset(LabeledDataset([Graph(1, [], np.eye(1))], 1,
+                                    node_labels=[np.array([0])]), path)
+        assert load_dataset(path).graphs[0].num_nodes == 1
+
+    def test_failed_save_leaves_the_old_file_whole(self, tmp_path):
+        path = tmp_path / "ds.json"
+        g = Graph(2, [(0, 1)], np.eye(2))
+        save_dataset(LabeledDataset([g], 2, node_labels=[np.array([0, 1])]), path)
+        before = path.read_bytes()
+        # a count that JSON cannot encode fails the write part way through
+        bad = LabeledDataset([g], np.int64(2), node_labels=[np.array([0, 1])])
+        with pytest.raises(TypeError):
+            save_dataset(bad, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in path.parent.iterdir()] == ["ds.json"]
+
     def test_ten_graph_container_roundtrip_bit_exact(self, tmp_path, rng):
         graphs, labels = [], []
         for k in range(10):

@@ -16,6 +16,7 @@ from conftest import (
     bfs_field,
     graph_with_isolated_nodes,
     isolated_and_hub_rows,
+    random_connected_graph,
     random_graph,
 )
 
@@ -232,6 +233,28 @@ class TestRestrict:
         assert first is adj
         np.testing.assert_array_equal(last.inputs, np.arange(21))
         assert last.num_out == 1 and last.owners.size == 19
+
+    def test_nearly_whole_graph_rows_take_the_graph_operator(self):
+        # the rows leave out node 20, which owns 1 of 382 entries
+        edges = [(a, b) for a in range(20) for b in range(a + 1, 20)] + [(19, 20)]
+        adj = Graph(21, edges, np.zeros((21, 1))).adjacency("gin")
+        assert all(block is adj for block in adj.blocks(np.arange(20), 2))
+
+    @pytest.mark.parametrize("kind", ["gcn", "gin"])
+    def test_whole_components_keep_their_order_as_their_union(self, kind):
+        rng = np.random.default_rng(2)
+        graphs = [graph_with_isolated_nodes(rng, n, 0.6) for n in (5, 4, 6, 4)]
+        graphs[1] = random_connected_graph(rng, 3)  # so that the rows are no whole graph
+        union, offsets = disjoint_union(graphs)
+        order = [2, 0, 3]
+        rows = np.concatenate([np.arange(offsets[k], offsets[k + 1]) for k in order])
+        batch = disjoint_union([graphs[k] for k in order])[0].adjacency(kind)
+        for block in union.adjacency(kind).blocks(rows, 2):
+            np.testing.assert_array_equal(block.inputs, rows)
+            np.testing.assert_array_equal(block.outputs, rows)
+            assert block.own is None
+            for name in ("owners", "targets", "offsets", "coeffs", "self_coeffs"):
+                np.testing.assert_array_equal(getattr(block, name), getattr(batch, name))
 
     def test_field_of_an_isolated_node_has_no_entries(self):
         g = Graph(4, [(0, 1), (1, 2)], np.zeros((4, 1)))

@@ -9,8 +9,8 @@ from edgeprompt import tuning
 from edgeprompt.checkpoint import checkpoint_from_model, serialize_checkpoint
 from edgeprompt.data import CSBMParams, FewShotSplit, LabeledDataset, csbm_graph_dataset, kshot_sample
 from edgeprompt.errors import ConfigError, FormatError, NonFiniteError, NotFittedError
-from edgeprompt.graph import Adjacency, Graph
-from edgeprompt.models import GNNModel, LinearHead, classifier_forward
+from edgeprompt.graph import Adjacency, Graph, disjoint_union, membership_from_offsets
+from edgeprompt.models import GNNModel, LinearHead, classifier_forward, readout
 from edgeprompt.optim import Adam
 from edgeprompt.pretrain import GraphCLPretrainer
 from edgeprompt.tensor import Tape, Tensor, finite_difference_gradient
@@ -361,7 +361,7 @@ class TestReceptiveField:
             assert all(b.num_in < g.num_nodes for b in blocks)
             part = prompted_representations(tuner.model_, g, tuner.prompts_, blocks).data
             full = prompted_representations(tuner.model_, g, tuner.prompts_).data
-            np.testing.assert_array_equal(blocks[-1].outputs, np.sort(split.train_ids))
+            np.testing.assert_array_equal(blocks[-1].outputs, split.train_ids)
             assert rel_err(part, full[blocks[-1].outputs]) < 1e-12, method
 
     @pytest.mark.parametrize("kind,layers", FIELD_CASES)
@@ -372,7 +372,8 @@ class TestReceptiveField:
             tuner = PromptTuner(ckpt, method=method, epochs=2, lr=0.1, anchors=2,
                                 seed=2).fit(ds, split)
             model, prompts, head = tuner.model_, tuner.prompts_, tuner.head_
-            blocks = g.adjacency(model.kind).blocks(split.train_ids, layers)
+            # the tuner's chain: that of the sorted rows
+            blocks = g.adjacency(model.kind).blocks(np.sort(split.train_ids), layers)
             at = np.searchsorted(blocks[-1].outputs, split.train_ids)
 
             def loss_fn():
@@ -482,3 +483,109 @@ def test_grad_norm_is_each_steps_gradient_norm(clique_ds, clique_split, graph_ds
                         anchors=2, seed=0).fit(graph_ds, graph_split)
     np.testing.assert_allclose(graph.history_["grad_norm"],
                                np.reshape(norms, (2, 3)).mean(axis=1), rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# graph tasks: a batch is rows of the dataset's one cached graph
+
+
+def union_logits(ds):
+    """The per-batch forward that graph tasks ran before they ran on the
+    blocks of ``ds.node_graph()``: a new disjoint union of the batch's
+    graphs, read out per graph."""
+    def logits(batch, model, prompts, head, readout_kind, blocks=None, reps=None):
+        union, offsets = disjoint_union([ds.graphs[i] for i in batch.ids])
+        h = prompted_representations(model, union, prompts)
+        return classifier_forward(head, readout(h, membership_from_offsets(offsets),
+                                                readout_kind))
+    return logits
+
+
+GRAPH_CASES = [(kind, how) for kind in ("gcn", "gin") for how in ("sum", "mean")]
+
+
+class TestGraphBatches:
+    @pytest.mark.parametrize("kind,readout_kind", GRAPH_CASES)
+    def test_logits_on_blocks_equal_the_batch_union(self, graph_ds, graph_split, kind,
+                                                    readout_kind):
+        ckpt = checkpoint_from_model(GNNModel.create(kind, (2, 8, 8), seed=1),
+                                     strategy="graphcl", seed=0)
+        ids = np.random.default_rng(4).permutation(len(graph_ds.graphs))[:9]
+        reference = union_logits(graph_ds)
+        for method in METHODS:
+            # a few steps so that every prompt tensor is non-zero
+            tuner = PromptTuner(ckpt, method=method, epochs=3, lr=0.1, anchors=2,
+                                batch_size=4, readout=readout_kind, seed=1).fit(graph_ds,
+                                                                               graph_split)
+            batch = tuning._Batch(graph_ds, ids)
+            args = (tuner.model_, tuner.prompts_, tuner.head_, readout_kind)
+            np.testing.assert_array_equal(batch.logits(*args).data,
+                                          reference(batch, *args).data, err_msg=method)
+
+    # 12 training graphs: three batches an epoch, or one
+    @pytest.mark.parametrize("batch_size", [5, 12])
+    @pytest.mark.parametrize("kind,readout_kind", GRAPH_CASES)
+    def test_twenty_epochs_match_the_batch_union_loop(self, graph_ds, graph_split, kind,
+                                                      readout_kind, batch_size, monkeypatch):
+        ckpt = checkpoint_from_model(GNNModel.create(kind, (2, 8, 8), seed=1),
+                                     strategy="graphcl", seed=0)
+
+        def fit(method):
+            return PromptTuner(ckpt, method=method, epochs=20, lr=0.05, anchors=2,
+                               batch_size=batch_size, readout=readout_kind,
+                               seed=3).fit(graph_ds, graph_split)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(tuning._Batch, "logits", union_logits(graph_ds))
+            union = {method: fit(method) for method in METHODS}
+        for method in METHODS:
+            tuner = fit(method)
+            for key in ("loss", "train_acc", "grad_norm"):
+                np.testing.assert_allclose(tuner.history_[key], union[method].history_[key],
+                                           rtol=1e-12, atol=1e-12, err_msg=method)
+            ref = tuned_tensors(union[method])
+            for name, arr in tuned_tensors(tuner).items():
+                assert rel_err(arr, ref[name]) < 1e-12, (method, name)
+
+    def test_fit_and_predict_build_one_graph(self, monkeypatch):
+        ds = tiny_graph_dataset(num_graphs=24, n_per_class=4, seed=5)
+        split = kshot_sample(ds, 6, seed=1)
+        built = []
+        init = Graph.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "__init__", spy)
+        tuner = PromptTuner(graph_checkpoint(), method="edgeprompt+", epochs=2, anchors=2,
+                            batch_size=4, seed=0).fit(ds, split)
+        tuner.predict(ds, split.test_ids)
+        assert len(built) == 1 and built[0] is ds.node_graph()
+
+    def test_batch_rows_are_the_graphs_nodes_in_id_order(self, graph_ds):
+        offsets = graph_ds.node_union()[1]
+        batch = tuning._Batch(graph_ds, [3, 0, 3])
+        expected = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in (3, 0, 3)])
+        np.testing.assert_array_equal(batch.rows, expected)
+        np.testing.assert_array_equal(batch.member, np.repeat([0, 1, 2],
+                                                             np.diff(offsets)[[3, 0, 3]]))
+
+
+class TestInstanceIds:
+    @pytest.mark.parametrize("bad", [-1, 24])
+    def test_graph_ids_outside_the_dataset_rejected(self, graph_ds, graph_split, bad):
+        # a negative id would otherwise read the last graph
+        tuner = PromptTuner(graph_checkpoint(), method="edgeprompt", epochs=1,
+                            seed=0).fit(graph_ds, graph_split)
+        for call in (tuner.predict, tuner.score):
+            with pytest.raises(ConfigError, match="outside"):
+                call(graph_ds, [0, bad])
+
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_node_ids_outside_the_dataset_rejected(self, clique_ds, clique_split, bad):
+        tuner = PromptTuner(node_checkpoint(), method="edgeprompt", epochs=1,
+                            seed=0).fit(clique_ds, clique_split)
+        for call in (tuner.predict, tuner.score):
+            with pytest.raises(ConfigError, match="outside"):
+                call(clique_ds, [0, bad])
