@@ -123,8 +123,6 @@ def _cmd_tune(args) -> int:
     if args.task and args.task != ds.task:
         raise ConfigError(f"--task {args.task} but dataset is a {ds.task} task")
     ckpt = _load_input(load_checkpoint, args.checkpoint)
-    if args.method not in METHODS:
-        raise ConfigError(f"unknown method {args.method!r}")
     if not args.seeds:
         raise ConfigError("--seeds must name at least one seed")
     if args.anchors is not None and not args.anchors:

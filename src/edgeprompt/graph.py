@@ -102,10 +102,6 @@ class Graph:
         keep = self.csr_owners < self.csr_targets
         return np.stack([self.csr_owners[keep], self.csr_targets[keep]], axis=1)
 
-    def has_edge(self, a: int, b: int) -> bool:
-        lo, hi = self.csr_offsets[a], self.csr_offsets[a + 1]
-        return bool(np.isin(b, self.csr_targets[lo:hi]).item())
-
     def dense_adjacency(self) -> np.ndarray:
         a = np.zeros((self.num_nodes, self.num_nodes))
         a[self.csr_owners, self.csr_targets] = 1.0

@@ -4,8 +4,8 @@ Edge prompts enter aggregation as ``c_ij (h_j + e_ij)`` per directed
 entry (i <- j), computed as sum_j c_ij (h_j + e_ij) = (Â h)_i + sum_j
 c_ij e_ij: one ``propagate`` plus an N x D prompt term per layer (from
 ``prompts.EdgePromptPlusParams.aggregate``), so no per-edge prompt row
-exists.  Self terms (the GCN self-loop, the GIN ``(1+eps) h_i``) never
-carry a prompt.
+exists.  Self terms (the GCN self-loop, the GIN ``h_i``) never carry a
+prompt.
 """
 
 from __future__ import annotations
@@ -59,19 +59,20 @@ class MLP:
                 ("1.weight", self.w2), ("1.bias", self.b2)]
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add_row(T.relu(T.add_row(T.matmul(x, self.w1), self.b1)) @ self.w2, self.b2)
+        hidden = T.relu(T.add_row(T.matmul(x, self.w1), self.b1))
+        return T.add_row(T.matmul(hidden, self.w2), self.b2)
 
 
 class GINLayer:
-    """Sum aggregation with a fixed epsilon self term and a 2-layer MLP."""
+    """GIN-0 (Xu et al., 2019): the MLP of the sum over the neighbours and
+    the node itself, with epsilon fixed at 0."""
 
-    def __init__(self, epsilon: float, mlp: MLP):
-        self.epsilon = epsilon
+    def __init__(self, mlp: MLP):
         self.mlp = mlp
 
     @classmethod
-    def create(cls, rng, d_in: int, d_out: int, epsilon: float = 0.0) -> "GINLayer":
-        return cls(epsilon, MLP.create(rng, d_in, d_out))
+    def create(cls, rng, d_in: int, d_out: int) -> "GINLayer":
+        return cls(MLP.create(rng, d_in, d_out))
 
     def parameters(self):
         return [(f"mlp.{name}", t) for name, t in self.mlp.parameters()]
@@ -168,8 +169,8 @@ def gcn_layer_forward(layer: GCNLayer, h: Tensor, adj: Adjacency,
 
 def gin_layer_forward(layer: GINLayer, h: Tensor, adj: Adjacency,
                       prompt_term: Tensor | None = None) -> Tensor:
-    """One GIN layer: the MLP of A h + (1+eps) h plus the prompt term."""
-    agg = T.add(T.propagate(h, adj), T.scale(_own_rows(h, adj), 1.0 + layer.epsilon))
+    """One GIN layer: the MLP of A h + h plus the prompt term."""
+    agg = T.add(T.propagate(h, adj), _own_rows(h, adj))
     if prompt_term is not None:
         agg = T.add(agg, prompt_term)
     return layer.mlp(agg)

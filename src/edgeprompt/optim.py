@@ -1,8 +1,8 @@
 """Adam optimizer for tape-watched parameters, and the one guarded
 training step that every training loop takes.
 
-Defaults beta1=0.9, beta2=0.999, eps=1e-8, no weight decay; only the
-learning rate is a routinely-tuned knob here.
+The learning rate is the one knob; beta1=0.9, beta2=0.999 and eps=1e-8
+are module constants, with no weight decay.
 """
 
 from __future__ import annotations
@@ -14,50 +14,42 @@ import numpy as np
 from .errors import NonFiniteError, ShapeError
 from .tensor import Tape, Tensor
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
     """Standard Adam with bias correction, updating parameters in place.
 
     ``step`` takes one gradient per parameter, aligned with the
-    constructor's parameter list; a ``None`` entry leaves that parameter
-    and its moment state untouched.  Each parameter keeps its own step
-    counter so bias correction stays exact for sparsely-updated
-    parameters.
+    constructor's parameter list.
     """
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
-        self._t = [0] * len(self.params)
 
-    def step(self, grads: list[np.ndarray | None]) -> None:
+    def step(self, grads: list[np.ndarray]) -> None:
         if len(grads) != len(self.params):
             raise ShapeError(
                 f"Adam.step: {len(grads)} gradients for {len(self.params)} parameters"
             )
         self.step_count += 1
         for i, (p, g) in enumerate(zip(self.params, grads)):
-            if g is None:
-                continue
             g = np.asarray(g, dtype=np.float64)
             if g.shape != p.data.shape:
                 raise ShapeError(
                     f"Adam.step: gradient shape {g.shape} vs parameter {p.data.shape}"
                 )
-            self._t[i] += 1
-            t = self._t[i]
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self._m[i] / (1.0 - self.beta1 ** t)
-            v_hat = self._v[i] / (1.0 - self.beta2 ** t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self._m[i] = BETA1 * self._m[i] + (1.0 - BETA1) * g
+            self._v[i] = BETA2 * self._v[i] + (1.0 - BETA2) * g * g
+            m_hat = self._m[i] / (1.0 - BETA1 ** self.step_count)
+            v_hat = self._v[i] / (1.0 - BETA2 ** self.step_count)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 @contextmanager

@@ -101,12 +101,8 @@ def _sample_non_edges(rng, num_nodes: int, present_keys: np.ndarray, count: int)
         if have == count:
             break
     if have < count:
-        all_keys = np.array(
-            [a * num_nodes + b for a in range(num_nodes)
-             for b in range(a + 1, num_nodes)],
-            dtype=np.int64,
-        )
-        pool = np.setdiff1d(all_keys, taken, assume_unique=True)
+        a, b = np.triu_indices(num_nodes, 1)
+        pool = np.setdiff1d(a * n + b, taken, assume_unique=True)
         extra = min(count - have, pool.shape[0])
         if extra:
             chosen.append(rng.choice(pool, size=extra, replace=False))
@@ -361,6 +357,11 @@ class LinkPredictionPretrainer(_Pretrainer):
         m = edges.shape[0]
         if m == 0:
             raise ConfigError("ep-gppt needs a graph with at least one edge")
+        # each epoch pairs every edge with one sampled non-edge
+        non_edges = g.num_nodes * (g.num_nodes - 1) // 2 - m
+        if non_edges < m:
+            raise ConfigError(f"ep-gppt needs at least as many non-edges as edges, "
+                              f"but the graph has {m} edges and {non_edges} non-edges")
         n_mask = int(self.mask_ratio * m)
         masked = rng.choice(m, size=n_mask, replace=False) if n_mask else np.zeros(0, np.int64)
         visible = np.ones(m, dtype=bool)
@@ -446,10 +447,3 @@ PRETRAINERS = {
     for cls in (GraphCLPretrainer, SimGRACEPretrainer,
                 LinkPredictionPretrainer, NeighborContrastPretrainer)
 }
-
-
-def link_scores(model: GNNModel, g: Graph, pairs: np.ndarray) -> np.ndarray:
-    """sigmoid(h_i . h_j) for node pairs, under the current weights."""
-    h = model_forward(model, g).data
-    raw = np.sum(h[pairs[:, 0]] * h[pairs[:, 1]], axis=1)
-    return 1.0 / (1.0 + np.exp(-raw))

@@ -26,7 +26,6 @@ __all__ = [
     "GradientMap",
     "add",
     "add_row",
-    "sub",
     "mul",
     "scale",
     "scale_rows",
@@ -38,7 +37,6 @@ __all__ = [
     "l2_normalize_rows",
     "rowsum",
     "sum_all",
-    "mean_all",
     "gather_rows",
     "scatter_add_rows",
     "propagate",
@@ -69,6 +67,8 @@ class Tensor:
     Scalars and 1-D sequences are promoted to ``(1, 1)`` and ``(1, n)``.
     Construction rejects NaN/Inf entries so that non-finite values are
     caught where they enter rather than deep inside a forward pass.
+    Tensors have no arithmetic operators: every op is a module-level
+    function, so each op has one spelling and one backward rule.
     """
 
     __slots__ = ("data", "tape", "node_id")
@@ -101,37 +101,9 @@ class Tensor:
             raise ShapeError(f"item() needs a 1x1 tensor, got {self.shape}")
         return float(self.data[0, 0])
 
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         tag = f", node={self.node_id}" if self.node_id is not None else ""
         return f"Tensor(shape={self.shape}{tag})"
-
-    # Operator sugar for the common compositions; everything routes
-    # through the module-level op functions so backward rules live in
-    # exactly one place.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        if other.shape != self.shape and other.shape == (1, self.shape[1]):
-            return add_row(self, other)
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 class GradientMap:
@@ -153,9 +125,6 @@ class GradientMap:
         if g is None:
             return np.zeros_like(t.data)
         return g
-
-    def __contains__(self, t: Tensor) -> bool:
-        return id(t) in self._watched
 
 
 class Tape:
@@ -271,11 +240,6 @@ def add_row(a: Tensor, v: Tensor) -> Tensor:
     )
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-    return _emit(a.data - b.data, [(a, lambda g: g), (b, lambda g: -g)])
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
     ad, bd = a.data, b.data
@@ -361,10 +325,6 @@ def sum_all(a: Tensor) -> Tensor:
         np.array([[a.data.sum()]]),
         [(a, lambda g: np.full(shape, g[0, 0]))],
     )
-
-
-def mean_all(a: Tensor) -> Tensor:
-    return scale(sum_all(a), 1.0 / a.data.size)
 
 
 # ---------------------------------------------------------------------------

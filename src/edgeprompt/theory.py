@@ -115,9 +115,6 @@ class DistanceReport:
     n_trials: int
     passed: bool
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def _mean_and_half_width(values: np.ndarray) -> tuple[float, float]:
     mean = float(np.mean(values))
@@ -264,9 +261,6 @@ class EquivalenceReport:
     min_control_residual: float = 0.0
     n_trials: int = 0
     passed: bool = False
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def random_connected_inputs(rng: np.random.Generator, max_nodes: int):

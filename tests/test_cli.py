@@ -84,6 +84,17 @@ class TestPretrainCommand:
             capsys.readouterr().err)
         assert not out.exists()
 
+    def test_more_edges_than_non_edges_exits_2_without_a_checkpoint(self, tmp_path, capsys):
+        dense = str(tmp_path / "dense.json")
+        assert main(["gen-csbm", "--out", dense, "--n-per-class", "30",
+                     "--p", "0.9", "--q", "0.5", "--seed", "0"]) == 0
+        out = tmp_path / "dense.bin"
+        rc = main(["pretrain", "--strategy", "ep-gppt", "--dataset", dense,
+                   "--out", str(out), "--hidden", "4", "--epochs", "1"])
+        assert rc == 2
+        assert "1226 edges and 544 non-edges" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_dataset_is_usage_error(self, tmp_path):
         rc = main(["pretrain", "--strategy", "graphcl", "--dataset",
                    str(tmp_path / "missing.json"), "--out", str(tmp_path / "o.bin")])

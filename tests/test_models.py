@@ -39,9 +39,8 @@ def dense_gcn_reference(g, h, weight, bias, prompts=None, activation=False):
     return np.maximum(out, 0.0) if activation else out
 
 
-def dense_gin_aggregate_reference(g, h, eps, prompts=None):
-    n = g.num_nodes
-    agg = (1.0 + eps) * h.copy()
+def dense_gin_aggregate_reference(g, h, prompts=None):
+    agg = h.copy()
     for k in range(g.num_directed_edges):
         i, j = int(g.csr_owners[k]), int(g.csr_targets[k])
         agg[i] += h[j] + (prompts[k] if prompts is not None else 0.0)
@@ -146,12 +145,11 @@ class TestGINLayer:
         r = np.random.default_rng(seed)
         g = random_graph(r, n, feature_dim=2)
         prompts = r.uniform(-1, 1, (g.num_directed_edges, 2))
-        eps = float(r.uniform(0, 1))
-        layer = GINLayer.create(r, 2, 3, epsilon=eps)
+        layer = GINLayer.create(r, 2, 3)
         adj = g.adjacency("gin")
         out = gin_layer_forward(layer, Tensor(g.features), adj,
                                 prompt_term(prompts, adj))
-        ref = dense_gin_aggregate_reference(g, g.features, eps, prompts)
+        ref = dense_gin_aggregate_reference(g, g.features, prompts)
         np.testing.assert_allclose(out.data, layer.mlp(Tensor(ref)).data, atol=1e-12)
 
 
@@ -207,7 +205,7 @@ class TestModelForward:
                 out_gin = model_forward(gin, g)
                 hg = Tensor(feats)
                 for layer in gin.layers:
-                    agg = dense_gin_aggregate_reference(g, hg.data, layer.epsilon)
+                    agg = dense_gin_aggregate_reference(g, hg.data)
                     hg = layer.mlp(Tensor(agg))
                 np.testing.assert_allclose(out_gin.data, hg.data, atol=1e-10)
 

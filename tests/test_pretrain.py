@@ -16,12 +16,12 @@ from edgeprompt.pretrain import (
     LinkPredictionPretrainer,
     NeighborContrastPretrainer,
     SimGRACEPretrainer,
+    _sample_non_edges,
     augment_graph,
-    link_scores,
     ntxent_loss,
     perturbed_copy,
 )
-from edgeprompt.models import GNNModel
+from edgeprompt.models import GNNModel, model_forward
 from edgeprompt.tensor import Tensor
 
 from conftest import random_connected_graph
@@ -212,6 +212,30 @@ class TestSimGRACE:
         assert serialize_checkpoint(a) == serialize_checkpoint(b)
 
 
+class TestSampleNonEdges:
+    def test_exhaustive_fallback_draws_distinct_absent_pairs(self, monkeypatch):
+        # all but 12 of the 435 pairs of 30 nodes are edges, so rejection sampling
+        # rarely meets an absent pair and the exhaustive pool supplies the rest
+        n = 30
+        a, b = np.triu_indices(n, 1)
+        keys = a * n + b
+        # the fallback's pool is in this order, so a seed's draws stay fixed
+        assert keys.tolist() == [i * n + j for i in range(n) for j in range(i + 1, n)]
+        absent = np.random.default_rng(0).choice(keys, size=12, replace=False)
+        present = np.setdiff1d(keys, absent)
+        pools = []
+        triu_indices = np.triu_indices
+        monkeypatch.setattr(np, "triu_indices",
+                            lambda *args: pools.append(args) or triu_indices(*args))
+        pairs = _sample_non_edges(np.random.default_rng(1), n, present, 10)
+        assert pools == [(n, 1)]
+        drawn = pairs[:, 0] * n + pairs[:, 1]
+        assert (pairs[:, 0] < pairs[:, 1]).all()
+        assert np.unique(drawn).size == 10 and np.isin(drawn, absent).all()
+        again = _sample_non_edges(np.random.default_rng(1), n, present, 10)
+        np.testing.assert_array_equal(pairs, again)
+
+
 class TestLinkPrediction:
     def test_positive_scores_beat_negative_after_training(self):
         ds = two_cliques(k=5, seed=1)
@@ -220,15 +244,19 @@ class TestLinkPrediction:
                                        mask_ratio=0.2, seed=0).fit(ds)
         g = ds.graphs[0]
         pos = g.undirected_edges()
+        adjacent = g.dense_adjacency()
         rng = np.random.default_rng(0)
         neg = []
         while len(neg) < pos.shape[0]:
             a, b = rng.integers(0, g.num_nodes, 2)
-            if a != b and not g.has_edge(int(a), int(b)):
+            if a != b and not adjacent[a, b]:
                 neg.append((min(a, b), max(a, b)))
-        model = est.model_
-        assert (link_scores(model, g, pos).mean()
-                > link_scores(model, g, np.array(neg)).mean())
+        h = model_forward(est.model_, g).data
+
+        def mean_score(pairs):
+            return np.mean(1.0 / (1.0 + np.exp(-np.sum(h[pairs[:, 0]] * h[pairs[:, 1]], axis=1))))
+
+        assert mean_score(pos) > mean_score(np.array(neg))
 
     def test_mask_ratio_zero_trains_on_all_edges(self):
         ds = two_cliques()
@@ -248,6 +276,20 @@ class TestLinkPrediction:
         ds = LabeledDataset([g], 1, node_labels=[np.zeros(3, np.int64)])
         with pytest.raises(ConfigError):
             LinkPredictionPretrainer(hidden_dim=4, epochs=1).fit(ds)
+
+    def test_more_edges_than_non_edges_rejected(self):
+        # each epoch pairs every edge with one sampled non-edge
+        params = CSBMParams([1.0, 0.0], [0.0, 1.0], p=0.9, q=0.5, n_per_class=30)
+        ds = csbm_node_dataset(params, seed=0)
+        with pytest.raises(ConfigError, match="1226 edges and 544 non-edges"):
+            LinkPredictionPretrainer(hidden_dim=4, epochs=1).fit(ds)
+
+    def test_as_many_non_edges_as_edges_accepted(self):
+        # the path 0-1-2-3 has 3 edges and 3 non-edges
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)], np.eye(4))
+        ds = LabeledDataset([g], 1, node_labels=[np.zeros(4, np.int64)])
+        est = LinkPredictionPretrainer(hidden_dim=4, epochs=2, mask_ratio=0.0).fit(ds)
+        assert np.isfinite(est.history_).all()
 
     def test_deterministic(self):
         ds = two_cliques()

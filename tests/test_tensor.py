@@ -483,10 +483,6 @@ _OP_CASES = {
         lambda a, v: T.sum_all(T.mul(T.add_row(a, v), a)),
         [rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, (1, 2))],
     ),
-    "sub": lambda rng: (
-        lambda a, b: T.sum_all(T.mul(T.sub(a, b), b)),
-        [rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, (3, 2))],
-    ),
     "mul": lambda rng: (
         lambda a, b: T.sum_all(T.mul(a, b)),
         [rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, (3, 2))],
@@ -526,10 +522,6 @@ _OP_CASES = {
     "rowsum": lambda rng: (
         lambda a, w=Tensor(rng.uniform(-1, 1, (4, 1))): T.sum_all(T.mul(T.rowsum(a), w)),
         [rng.uniform(-1, 1, (4, 3))],
-    ),
-    "mean_all": lambda rng: (
-        lambda a: T.mean_all(T.mul(a, a)),
-        [rng.uniform(-1, 1, (3, 3))],
     ),
     "gather_rows": lambda rng: (
         lambda a, w=Tensor(rng.uniform(-1, 1, (4, 2))): T.sum_all(

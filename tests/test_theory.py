@@ -182,12 +182,13 @@ class TestTheorem1Verify:
         np.testing.assert_allclose(fast, slow, atol=1e-12)
 
     def test_report_dict_is_json_friendly(self):
+        import dataclasses
         import json
 
         params = params_82()
         w = theorem1_construct_witness(params, 1.5)
         report = theorem1_verify(params, w, n_nodes=100, n_trials=3, seed=0)
-        json.dumps(report.to_dict())
+        json.dumps(dataclasses.asdict(report))
 
 
 class TestLemma1Coefficient:
