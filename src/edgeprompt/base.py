@@ -4,12 +4,14 @@ The trainable components (pre-trainers, prompt tuner) follow the
 scikit-learn estimator conventions (constructor arguments are stored
 verbatim, ``get_params``/``set_params`` expose them for composition, and
 fitted state lives in trailing-underscore attributes) without depending
-on scikit-learn itself.
+on scikit-learn itself.  Each is a dataclass: its fields are its
+parameters, declared once and keyword-only, and the generated
+``__init__`` and ``repr`` follow them.
 """
 
 from __future__ import annotations
 
-import inspect
+import dataclasses
 import os
 import tempfile
 
@@ -19,16 +21,11 @@ from .errors import ConfigError, NotFittedError
 
 
 class BaseEstimator:
-    """get_params/set_params over the subclass's ``__init__`` signature."""
+    """get_params/set_params over the subclass's dataclass fields."""
 
     @classmethod
     def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [
-            name
-            for name, p in sig.parameters.items()
-            if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-        ]
+        return [f.name for f in dataclasses.fields(cls)]
 
     def get_params(self) -> dict:
         return {name: getattr(self, name) for name in self._param_names()}
@@ -43,10 +40,6 @@ class BaseEstimator:
                 )
             setattr(self, name, value)
         return self
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
 
 
 def check_is_fitted(estimator, *attributes: str) -> None:

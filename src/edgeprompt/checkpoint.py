@@ -23,6 +23,7 @@ from .models import GCN, GIN, GNNModel
 
 CHECKPOINT_MAGIC = b"EPCKPT1\x00"
 PROMPT_MAGIC = b"EPPRMT1\x00"
+VERSION = 1  # the header version of both artifact kinds
 
 
 def expected_parameter_shapes(kind: str, dims) -> dict[str, tuple[int, int]]:
@@ -54,7 +55,6 @@ class Checkpoint:
     seed: int
     tensors: dict[str, np.ndarray]
     metadata: dict = field(default_factory=dict)
-    version: int = 1
 
     def digest(self) -> str:
         return hashlib.sha256(serialize_checkpoint(self)).hexdigest()
@@ -98,7 +98,7 @@ def _deserialize(magic: bytes, data: bytes, path="<bytes>") -> tuple[dict, dict[
         raise FormatError(f"{path}: header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header is not a JSON object")
-    if header.get("version") != 1:
+    if header.get("version") != VERSION:
         raise FormatError(f"{path}: unsupported version {header.get('version')!r}")
     entries = header.get("tensors", [])
     if not isinstance(entries, list):
@@ -130,7 +130,7 @@ def _deserialize(magic: bytes, data: bytes, path="<bytes>") -> tuple[dict, dict[
 
 def serialize_checkpoint(ckpt: Checkpoint) -> bytes:
     header = {
-        "version": ckpt.version,
+        "version": VERSION,
         "model": {"kind": ckpt.model_kind, "dims": list(ckpt.dims)},
         "strategy": ckpt.strategy,
         "seed": int(ckpt.seed),
@@ -223,7 +223,6 @@ class LearnedPrompts:
     backbone_digest: str
     tensors: dict[str, np.ndarray]
     metadata: dict = field(default_factory=dict)
-    version: int = 1
 
     def digest(self) -> str:
         return hashlib.sha256(serialize_prompts(self)).hexdigest()
@@ -231,7 +230,7 @@ class LearnedPrompts:
 
 def serialize_prompts(lp: LearnedPrompts) -> bytes:
     header = {
-        "version": lp.version,
+        "version": VERSION,
         "method": lp.method,
         "task": lp.task,
         "shots": int(lp.shots),

@@ -2,7 +2,9 @@
 
 Config precedence is flags > config file > built-in defaults.  The config
 file is flat ``key=value`` text; each line is the flag ``--key=value``
-(underscores read as hyphens), parsed with the command line.  One
+(underscores read as hyphens), parsed with the command line.  A flag for
+an estimator parameter has no default of its own: when it is not given,
+the estimator's default holds.  One
 environment variable, ``EDGEPROMPT_OUTPUT_ROOT``, selects the root that
 relative output paths are resolved under.
 
@@ -109,11 +111,11 @@ _PRETRAIN_FLAGS = {"model_kind": "model", "num_layers": "layers", "hidden_dim": 
 def _cmd_pretrain(args) -> int:
     ds = load_dataset(args.dataset)
     cls = PRETRAINERS[args.strategy]
-    est = cls(**{name: getattr(args, _PRETRAIN_FLAGS.get(name, name))
-                 for name in cls._param_names()}).fit(ds)
+    est = cls(**{name: getattr(args, flag) for name in cls._param_names()
+                 if hasattr(args, flag := _PRETRAIN_FLAGS.get(name, name))}).fit(ds)
     out = _out_path(args.out)
     save_checkpoint(est.checkpoint_, out)
-    print(f"pretrained strategy={args.strategy} epochs={args.epochs} "
+    print(f"pretrained strategy={args.strategy} epochs={est.epochs} "
           f"final_loss={est.history_[-1]:.6f} checkpoint={out}")
     return 0
 
@@ -129,6 +131,8 @@ def _cmd_tune(args) -> int:
         raise ConfigError("--anchors must name at least one anchor count")
     if args.anchors and len(args.anchors) > 1 and args.method not in ("edgeprompt+", "gpf-plus"):
         raise ConfigError(f"--anchors sweeps anchor counts, which {args.method} does not use")
+    knobs = {name: getattr(args, name) for name in ("epochs", "lr", "batch_size", "readout")
+             if hasattr(args, name)}
     out_dir = _out_path(args.out_dir)
     started = time.time()
     anchor_counts = args.anchors if args.anchors else [None]
@@ -138,9 +142,8 @@ def _cmd_tune(args) -> int:
         seed_entries = []
         for seed in args.seeds:
             split = kshot_sample(ds, args.shots, seed=seed)
-            tuner = PromptTuner(ckpt, method=args.method, epochs=args.epochs, lr=args.lr,
-                                batch_size=args.batch_size, anchors=anchors,
-                                readout=args.readout, seed=seed).fit(ds, split)
+            tuner = PromptTuner(ckpt, method=args.method, anchors=anchors, seed=seed,
+                                **knobs).fit(ds, split)
             test_acc = tuner.score(ds, split.test_ids) if split.test_ids.size else None
             entry = {
                 "seed": seed,
@@ -157,7 +160,7 @@ def _cmd_tune(args) -> int:
             seed_entries.append(entry)
             csv_rows.append([seed, args.method, ckpt.strategy, args.shots,
                              tuner.anchors_[0], entry["train_acc"],
-                             entry["test_acc"], args.epochs])
+                             entry["test_acc"], tuner.epochs])
         accs = [e["test_acc"] for e in seed_entries if e["test_acc"] is not None]
         runs.append({
             "anchors": tuner.anchors_[0],
@@ -175,10 +178,10 @@ def _cmd_tune(args) -> int:
             "method": args.method,
             "task": ds.task,
             "shots": args.shots,
-            "epochs": args.epochs,
-            "lr": args.lr,
-            "batch_size": args.batch_size,
-            "readout": args.readout,
+            "epochs": tuner.epochs,
+            "lr": tuner.lr,
+            "batch_size": tuner.batch_size,
+            "readout": tuner.readout,
             "seeds": list(args.seeds),
             "strategy": ckpt.strategy,
         },
@@ -299,24 +302,25 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Edge-level graph prompt tuning")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_pre = sub.add_parser("pretrain", help="pre-train a backbone")
+    p_pre = sub.add_parser("pretrain", help="pre-train a backbone",
+                           argument_default=argparse.SUPPRESS)
     p_pre.add_argument("--config", default=None)
     p_pre.add_argument("--strategy", required=True, choices=sorted(PRETRAINERS))
     p_pre.add_argument("--dataset", required=True)
     p_pre.add_argument("--out", required=True)
-    p_pre.add_argument("--model", default="gcn", choices=["gcn", "gin"])
-    p_pre.add_argument("--layers", type=int, default=2)
-    p_pre.add_argument("--hidden", type=int, default=128)
-    p_pre.add_argument("--epochs", type=int, default=100)
-    p_pre.add_argument("--lr", type=float, default=1e-3)
-    p_pre.add_argument("--batch-size", type=int, default=32)
-    p_pre.add_argument("--seed", type=int, default=0)
-    p_pre.add_argument("--drop-ratio", type=float, default=0.2)
-    p_pre.add_argument("--perturb-ratio", type=float, default=0.2)
-    p_pre.add_argument("--temperature", type=float, default=0.5)
-    p_pre.add_argument("--noise-scale", type=float, default=0.1)
-    p_pre.add_argument("--mask-ratio", type=float, default=0.2)
-    p_pre.add_argument("--node-batch", type=int, default=256)
+    p_pre.add_argument("--model", choices=["gcn", "gin"])
+    p_pre.add_argument("--layers", type=int)
+    p_pre.add_argument("--hidden", type=int)
+    p_pre.add_argument("--epochs", type=int)
+    p_pre.add_argument("--lr", type=float)
+    p_pre.add_argument("--batch-size", type=int)
+    p_pre.add_argument("--seed", type=int)
+    p_pre.add_argument("--drop-ratio", type=float)
+    p_pre.add_argument("--perturb-ratio", type=float)
+    p_pre.add_argument("--temperature", type=float)
+    p_pre.add_argument("--noise-scale", type=float)
+    p_pre.add_argument("--mask-ratio", type=float)
+    p_pre.add_argument("--node-batch", type=int)
     p_pre.set_defaults(func=_cmd_pretrain)
 
     p_tune = sub.add_parser("tune", help="prompt-tune against a frozen checkpoint")
@@ -328,10 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--shots", type=int, default=5)
     p_tune.add_argument("--anchors", type=_int_list, default=None,
                         help="anchor prompts per layer; a comma list sweeps")
-    p_tune.add_argument("--epochs", type=int, default=200)
-    p_tune.add_argument("--lr", type=float, default=1e-3)
-    p_tune.add_argument("--batch-size", type=int, default=32)
-    p_tune.add_argument("--readout", default="sum", choices=["sum", "mean"])
+    p_tune.add_argument("--epochs", type=int, default=argparse.SUPPRESS)
+    p_tune.add_argument("--lr", type=float, default=argparse.SUPPRESS)
+    p_tune.add_argument("--batch-size", type=int, default=argparse.SUPPRESS)
+    p_tune.add_argument("--readout", default=argparse.SUPPRESS, choices=["sum", "mean"])
     p_tune.add_argument("--seeds", type=_int_list, default=[0, 1, 2, 3, 4])
     p_tune.add_argument("--out-dir", required=True)
     p_tune.add_argument("--prefix", default="tune")

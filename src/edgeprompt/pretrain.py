@@ -15,6 +15,8 @@ graph datasets under the two edge-prediction strategies.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .base import BaseEstimator, check_positive, check_unit_interval, seeded_rng
@@ -143,6 +145,7 @@ def perturbed_copy(model: GNNModel, scale: float, rng) -> GNNModel:
     return clone
 
 
+@dataclass(eq=False, kw_only=True)
 class _Pretrainer(BaseEstimator):
     """Shared skeleton: build a fresh backbone, train it for ``epochs``
     through the guarded ``train_step``, freeze the result into
@@ -155,7 +158,14 @@ class _Pretrainer(BaseEstimator):
     """
 
     strategy = ""
-    _recorded: tuple[str, ...] = ()  # parameters kept in checkpoint metadata
+    _recorded = ()  # parameters kept in checkpoint metadata
+
+    model_kind: str = "gcn"
+    num_layers: int = 2
+    hidden_dim: int = 128
+    epochs: int = 100
+    lr: float = 1e-3
+    seed: int = 0
 
     def fit(self, dataset: LabeledDataset) -> "_Pretrainer":
         if not dataset.graphs:
@@ -191,6 +201,7 @@ class _Pretrainer(BaseEstimator):
         raise NotImplementedError
 
 
+@dataclass(eq=False, kw_only=True)
 class _ContrastivePretrainer(_Pretrainer):
     """GraphCL / SimGRACE: per-epoch batches of view pairs, mean readout,
     shared projection head, NT-Xent.
@@ -201,6 +212,10 @@ class _ContrastivePretrainer(_Pretrainer):
     (:meth:`_graph_views`).  Either returns a function that builds the
     two views' rows on the tape.
     """
+
+    batch_size: int = 32
+    temperature: float = 0.5
+    node_batch: int = 256
 
     def _prepare(self, model, dataset, rng):
         if dataset.task == "node" and self.node_batch < 2:
@@ -229,12 +244,13 @@ class _ContrastivePretrainer(_Pretrainer):
 
         return [t for _, t in proj.parameters()], {}, batches
 
-    def _embed(self, model, graphs):
-        union, offsets = disjoint_union(graphs)
+    def _embed(self, model, union, offsets):
+        """Mean readouts of the graphs of a ``disjoint_union``."""
         h = model_forward(model, union)
         return readout(h, membership_from_offsets(offsets), "mean")
 
 
+@dataclass(eq=False, kw_only=True)
 class GraphCLPretrainer(_ContrastivePretrainer):
     """Contrast node-drop and edge-perturb views of the same graph.
 
@@ -249,22 +265,13 @@ class GraphCLPretrainer(_ContrastivePretrainer):
     strategy = "graphcl"
     _recorded = ("drop_ratio", "perturb_ratio", "temperature")
 
-    def __init__(self, model_kind: str = "gcn", num_layers: int = 2,
-                 hidden_dim: int = 128, epochs: int = 100, lr: float = 1e-3,
-                 batch_size: int = 32, drop_ratio: float = 0.2,
-                 perturb_ratio: float = 0.2, temperature: float = 0.5,
-                 node_batch: int = 256, seed: int = 0):
-        self.model_kind = model_kind
-        self.num_layers = num_layers
-        self.hidden_dim = hidden_dim
-        self.epochs = epochs
-        self.lr = lr
-        self.batch_size = batch_size
-        self.drop_ratio = drop_ratio
-        self.perturb_ratio = perturb_ratio
-        self.temperature = temperature
-        self.node_batch = node_batch
-        self.seed = seed
+    drop_ratio: float = 0.2
+    perturb_ratio: float = 0.2
+
+    def _prepare(self, model, dataset, rng):
+        check_unit_interval("drop_ratio", self.drop_ratio)
+        check_unit_interval("perturb_ratio", self.perturb_ratio)
+        return super()._prepare(model, dataset, rng)
 
     def _node_views(self, model, g, rng):
         view_a, kept = _node_drop_view(
@@ -281,9 +288,11 @@ class GraphCLPretrainer(_ContrastivePretrainer):
               for g in graphs]
         v2 = [augment_graph(g, "edge-perturb", self.perturb_ratio, int(rng.integers(2**31)))
               for g in graphs]
-        return lambda: (self._embed(model, v1), self._embed(model, v2))
+        return lambda: (self._embed(model, *disjoint_union(v1)),
+                        self._embed(model, *disjoint_union(v2)))
 
 
+@dataclass(eq=False, kw_only=True)
 class SimGRACEPretrainer(_ContrastivePretrainer):
     """Augmentation-free: the second view comes from a weight-perturbed
     copy of the model; the original weights are never modified.
@@ -296,20 +305,7 @@ class SimGRACEPretrainer(_ContrastivePretrainer):
     strategy = "simgrace"
     _recorded = ("noise_scale", "temperature")
 
-    def __init__(self, model_kind: str = "gcn", num_layers: int = 2,
-                 hidden_dim: int = 128, epochs: int = 100, lr: float = 1e-3,
-                 batch_size: int = 32, noise_scale: float = 0.1,
-                 temperature: float = 0.5, node_batch: int = 256, seed: int = 0):
-        self.model_kind = model_kind
-        self.num_layers = num_layers
-        self.hidden_dim = hidden_dim
-        self.epochs = epochs
-        self.lr = lr
-        self.batch_size = batch_size
-        self.noise_scale = noise_scale
-        self.temperature = temperature
-        self.node_batch = node_batch
-        self.seed = seed
+    noise_scale: float = 0.1
 
     def _prepare(self, model, dataset, rng):
         if not 0.0 <= self.noise_scale < np.inf:  # NaN fails both
@@ -325,9 +321,11 @@ class SimGRACEPretrainer(_ContrastivePretrainer):
 
     def _graph_views(self, model, graphs, rng):
         twin = perturbed_copy(model, self.noise_scale, rng)
-        return lambda: (self._embed(model, graphs), self._embed(twin, graphs))
+        union = disjoint_union(graphs)  # both models read the one union
+        return lambda: (self._embed(model, *union), self._embed(twin, *union))
 
 
+@dataclass(eq=False, kw_only=True)
 class LinkPredictionPretrainer(_Pretrainer):
     """Masked-edge link prediction (the EP-GPPT strategy).
 
@@ -339,16 +337,7 @@ class LinkPredictionPretrainer(_Pretrainer):
     strategy = "ep-gppt"
     _recorded = ("mask_ratio",)
 
-    def __init__(self, model_kind: str = "gcn", num_layers: int = 2,
-                 hidden_dim: int = 128, epochs: int = 100, lr: float = 1e-3,
-                 mask_ratio: float = 0.2, seed: int = 0):
-        self.model_kind = model_kind
-        self.num_layers = num_layers
-        self.hidden_dim = hidden_dim
-        self.epochs = epochs
-        self.lr = lr
-        self.mask_ratio = mask_ratio
-        self.seed = seed
+    mask_ratio: float = 0.2
 
     def _prepare(self, model, dataset, rng):
         check_unit_interval("mask_ratio", self.mask_ratio)
@@ -384,6 +373,7 @@ class LinkPredictionPretrainer(_Pretrainer):
         return [], {"masked_edges": np.sort(masked).tolist()}, batches
 
 
+@dataclass(eq=False, kw_only=True)
 class NeighborContrastPretrainer(_Pretrainer):
     """Neighbor vs non-neighbor contrast (the EP-GraphPrompt strategy).
 
@@ -396,16 +386,7 @@ class NeighborContrastPretrainer(_Pretrainer):
     strategy = "ep-graphprompt"
     _recorded = ("temperature",)
 
-    def __init__(self, model_kind: str = "gcn", num_layers: int = 2,
-                 hidden_dim: int = 128, epochs: int = 100, lr: float = 1e-3,
-                 temperature: float = 0.5, seed: int = 0):
-        self.model_kind = model_kind
-        self.num_layers = num_layers
-        self.hidden_dim = hidden_dim
-        self.epochs = epochs
-        self.lr = lr
-        self.temperature = temperature
-        self.seed = seed
+    temperature: float = 0.5
 
     def _prepare(self, model, dataset, rng):
         check_positive("temperature", self.temperature)

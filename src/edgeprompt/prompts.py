@@ -8,7 +8,8 @@ attention score weights start at small random values.
 
 EdgePrompt+ gives entry (i <- j) the prompt e_ij = S_ij P, a mix of the
 layer's M anchors P by scores S_ij = softmax(LeakyReLU([h_i || h_j] W)),
-so the two directions of an edge may differ.  EdgePrompt is the unscored
+so the two directions of an edge may differ; the LeakyReLU slope is
+GAT's fixed ``LEAKY_SLOPE`` = 0.2.  EdgePrompt is the unscored
 case, one anchor and S = 1.  Layers take the prompts summed per node,
 sum_j c_ij e_ij = (sum_j c_ij S_ij) P: scores are summed (N x M) before
 they meet the anchors, so no E x D prompt tensor exists.  One fused tape
@@ -26,13 +27,14 @@ from .graph import Adjacency
 from . import tensor as T
 from .tensor import Tensor
 
+LEAKY_SLOPE = 0.2  # negative slope of the score function's LeakyReLU
+
 
 class EdgePromptPlusParams:
     """Per-layer anchor sets, mixed per entry by attention scores; without
     ``score_weights``, EdgePrompt's one shared vector per layer."""
 
-    def __init__(self, anchors: list[Tensor], score_weights: list[Tensor] | None = None,
-                 leaky_slope: float = 0.2):
+    def __init__(self, anchors: list[Tensor], score_weights: list[Tensor] | None = None):
         if score_weights is not None and len(anchors) != len(score_weights):
             raise ShapeError(
                 f"{len(anchors)} anchor sets vs {len(score_weights)} score weights"
@@ -48,7 +50,6 @@ class EdgePromptPlusParams:
                 )
         self.anchors = anchors
         self.score_weights = score_weights
-        self.leaky_slope = leaky_slope
 
     @classmethod
     def shared(cls, input_dims) -> "EdgePromptPlusParams":
@@ -56,8 +57,8 @@ class EdgePromptPlusParams:
         return cls([Tensor.zeros(1, int(d)) for d in input_dims])
 
     @classmethod
-    def create(cls, input_dims, anchors_per_layer, rng: np.random.Generator,
-               leaky_slope: float = 0.2) -> "EdgePromptPlusParams":
+    def create(cls, input_dims, anchors_per_layer,
+               rng: np.random.Generator) -> "EdgePromptPlusParams":
         dims = [int(d) for d in input_dims]
         if isinstance(anchors_per_layer, int):
             counts = [anchors_per_layer] * len(dims)
@@ -70,7 +71,7 @@ class EdgePromptPlusParams:
         anchors = [Tensor.zeros(m, d) for m, d in zip(counts, dims)]
         weights = [Tensor(rng.uniform(-0.1, 0.1, size=(2 * d, m)))
                    for m, d in zip(counts, dims)]
-        return cls(anchors, weights, leaky_slope)
+        return cls(anchors, weights)
 
     def trainable(self) -> list[Tensor]:
         return list(self.anchors) + list(self.score_weights or [])
@@ -105,7 +106,7 @@ class EdgePromptPlusParams:
         owner's row, h_j the neighbor's.  Rows sum to 1.
         """
         logits = self._score_logits(h_prev, layer)
-        return Tensor(T.edge_softmax(logits, adj, self.leaky_slope))
+        return Tensor(T.edge_softmax(logits, adj, LEAKY_SLOPE))
 
     def aggregate(self, h_prev: Tensor, adj: Adjacency, layer: int) -> Tensor:
         """The layer's prompt term per output row, sum_j c_ij e_ij (n_out x D).
@@ -117,8 +118,7 @@ class EdgePromptPlusParams:
         if self.score_weights is None:
             mix = Tensor(adj.coeff_sums)
         else:
-            mix = T.edge_softmax_sum(self._score_logits(h_prev, layer), adj,
-                                     self.leaky_slope)
+            mix = T.edge_softmax_sum(self._score_logits(h_prev, layer), adj, LEAKY_SLOPE)
         return T.matmul(mix, self.anchors[layer])
 
 

@@ -15,6 +15,8 @@ Methods: ``edgeprompt``, ``edgeprompt+``, ``gpf``, ``gpf-plus``, and
 
 from __future__ import annotations
 
+from dataclasses import KW_ONLY, dataclass
+
 import numpy as np
 
 from .base import BaseEstimator, check_is_fitted, check_positive, seeded_rng
@@ -24,7 +26,7 @@ from .errors import ConfigError, FormatError
 from .graph import Adjacency, Graph, unique_sorted
 from .models import GNNModel, LinearHead, classifier_forward, model_forward, readout
 from .optim import Adam, train_step
-from .prompts import EdgePromptPlusParams, NodePromptParams
+from .prompts import LEAKY_SLOPE, EdgePromptPlusParams, NodePromptParams
 from . import tensor as T
 from .tensor import Tensor
 
@@ -111,6 +113,7 @@ def predict_labels(model: GNNModel, prompt_params, head: LinearHead,
     return preds
 
 
+@dataclass(eq=False)
 class PromptTuner(BaseEstimator):
     """Learn prompts + a linear probe for a frozen checkpointed backbone.
 
@@ -120,7 +123,8 @@ class PromptTuner(BaseEstimator):
     ----------
     checkpoint : Checkpoint
         The pre-trained backbone; its tensors are bit-identical before
-        and after tuning.
+        and after tuning.  The one positional parameter; the rest are
+        keyword-only.
     method : one of METHODS
     epochs, lr, batch_size : training loop knobs (batch_size applies to
         graph classification only; node tuning steps once per epoch on
@@ -129,7 +133,6 @@ class PromptTuner(BaseEstimator):
         list, or None for the task default: 10 node / 5 graph).  Doubles
         as the basis size for gpf-plus.
     readout : 'sum' or 'mean', graph classification only.
-    leaky_slope : slope of the score function's LeakyReLU.
     seed : drives head init, score-weight init, and batch order.
 
     Fitted attributes: ``model_``, ``prompts_``, ``head_``, ``history_``
@@ -139,19 +142,15 @@ class PromptTuner(BaseEstimator):
     ``anchors_``.
     """
 
-    def __init__(self, checkpoint: Checkpoint, method: str = "edgeprompt+",
-                 epochs: int = 200, lr: float = 1e-3, batch_size: int = 32,
-                 anchors=None, readout: str = "sum", leaky_slope: float = 0.2,
-                 seed: int = 0):
-        self.checkpoint = checkpoint
-        self.method = method
-        self.epochs = epochs
-        self.lr = lr
-        self.batch_size = batch_size
-        self.anchors = anchors
-        self.readout = readout
-        self.leaky_slope = leaky_slope
-        self.seed = seed
+    checkpoint: Checkpoint
+    _: KW_ONLY
+    method: str = "edgeprompt+"
+    epochs: int = 200
+    lr: float = 1e-3
+    batch_size: int = 32
+    anchors: int | list[int] | None = None
+    readout: str = "sum"
+    seed: int = 0
 
     # ------------------------------------------------------------------
 
@@ -183,7 +182,7 @@ class PromptTuner(BaseEstimator):
         task = dataset.task
         self.anchors_ = self._resolve_anchors(task, model.num_layers)
         prompt_rng = seeded_rng(self.seed, 0x9201)
-        prompts = _new_prompts(self.method, model, self.anchors_, prompt_rng, self.leaky_slope)
+        prompts = _new_prompts(self.method, model, self.anchors_, prompt_rng)
         head_rng = seeded_rng(self.seed, 0x4EAD)
         head = LinearHead.create(head_rng, model.output_dim, dataset.num_classes)
 
@@ -252,7 +251,7 @@ class PromptTuner(BaseEstimator):
         metadata = {"epochs": int(self.epochs), "lr": self.lr,
                     "seed": int(self.seed), "num_classes": int(self.num_classes_)}
         if self.method == "edgeprompt+":
-            metadata["leaky_slope"] = self.leaky_slope
+            metadata["leaky_slope"] = LEAKY_SLOPE
         return LearnedPrompts(
             method=self.method,
             task=self.task_,
@@ -267,14 +266,14 @@ class PromptTuner(BaseEstimator):
 
 
 def _new_prompts(method: str, model: GNNModel, counts: list[int],
-                 rng: np.random.Generator, leaky_slope: float):
+                 rng: np.random.Generator):
     """Freshly initialised prompts of a method (None for classifier-only)."""
     if method == "classifier-only":
         return None
     if method == "edgeprompt":
         return EdgePromptPlusParams.shared(model.dims[:-1])
     if method == "edgeprompt+":
-        return EdgePromptPlusParams.create(model.dims[:-1], counts, rng, leaky_slope)
+        return EdgePromptPlusParams.create(model.dims[:-1], counts, rng)
     if method == "gpf":
         return NodePromptParams.shared(model.input_dim)
     if method == "gpf-plus":
@@ -287,15 +286,16 @@ def prompts_from_artifact(lp: LearnedPrompts, model: GNNModel):
 
     The file must hold, finite and of the same shape, every tensor that
     tuning makes for its method, anchor counts and this model; otherwise
-    a ``FormatError`` names the tensor.
+    a ``FormatError`` names the tensor.  A recorded score slope other
+    than ``LEAKY_SLOPE`` is a ``FormatError`` too.
     """
-    slope, counts = lp.metadata.get("leaky_slope", 0.2), lp.anchors
-    if not isinstance(slope, (int, float)) or not 0.0 < slope < 1.0:
-        raise FormatError(f"prompt file leaky_slope {slope!r} is not in (0, 1)")
+    slope, counts = lp.metadata.get("leaky_slope", LEAKY_SLOPE), lp.anchors
+    if slope != LEAKY_SLOPE:
+        raise FormatError(f"prompt file leaky_slope {slope!r} is not {LEAKY_SLOPE}")
     if not (isinstance(counts, list) and len(counts) == model.num_layers
             and all(type(m) is int and m >= 1 for m in counts)):
         raise FormatError(f"prompt file anchors {counts!r} do not fit {model.num_layers} layers")
-    prompts = _new_prompts(lp.method, model, counts, np.random.default_rng(0), slope)
+    prompts = _new_prompts(lp.method, model, counts, np.random.default_rng(0))
     if prompts is None:
         raise ConfigError("a classifier-only run has no prompt file")
     weight = lp.tensors.get("head.weight")

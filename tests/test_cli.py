@@ -11,6 +11,8 @@ from edgeprompt.checkpoint import (
 )
 from edgeprompt.cli import main
 from edgeprompt.data import save_dataset
+from edgeprompt.pretrain import PRETRAINERS, LinkPredictionPretrainer
+from edgeprompt.tuning import METHODS, PromptTuner
 
 from test_pretrain import tiny_graph_dataset, two_cliques
 
@@ -39,6 +41,16 @@ def ckpt_path(tmp_path_factory, node_ds_path):
     return path
 
 
+@pytest.fixture(scope="module")
+def graph_ckpt_path(tmp_path_factory, graph_ds_path):
+    path = str(tmp_path_factory.mktemp("ck") / "graph.bin")
+    rc = main(["pretrain", "--strategy", "graphcl", "--dataset", graph_ds_path,
+               "--out", path, "--model", "gin", "--hidden", "8", "--epochs", "1",
+               "--batch-size", "4"])
+    assert rc == 0
+    return path
+
+
 def run_tune(node_ds_path, ckpt_path, out_dir, *extra):
     args = ["tune", "--dataset", node_ds_path, "--checkpoint", ckpt_path,
             "--method", "edgeprompt+", "--task", "node", "--shots", "2",
@@ -52,6 +64,19 @@ class TestPretrainCommand:
         ckpt = load_checkpoint(ckpt_path)
         assert ckpt.strategy == "graphcl"
         assert ckpt.dims == (4, 8, 8)
+
+    def test_left_out_flags_take_the_estimators_defaults(self, node_ds_path, tmp_path,
+                                                         capsys):
+        out = tmp_path / "ck.bin"
+        assert main(["pretrain", "--strategy", "ep-gppt", "--dataset", node_ds_path,
+                     "--out", str(out)]) == 0
+        defaults = LinkPredictionPretrainer()
+        ckpt = load_checkpoint(out)
+        assert ckpt.model_kind == defaults.model_kind and ckpt.seed == defaults.seed
+        assert ckpt.dims == (4,) + (defaults.hidden_dim,) * defaults.num_layers
+        assert ckpt.metadata["epochs"] == defaults.epochs
+        assert ckpt.metadata["mask_ratio"] == defaults.mask_ratio
+        assert f"epochs={defaults.epochs} " in capsys.readouterr().out
 
     def test_unknown_strategy_is_usage_error(self, node_ds_path, tmp_path, capsys):
         rc = main(["pretrain", "--strategy", "nonsense", "--dataset",
@@ -135,6 +160,19 @@ class TestTuneCommand:
         report = json.loads((tmp_path / "tune_report.json").read_text())
         assert len(report["runs"][0]["seeds"]) == 5
         assert (tmp_path / "tune_report.csv").exists()
+
+    def test_left_out_flags_take_the_tuners_defaults(self, node_ds_path, ckpt_path,
+                                                     tmp_path):
+        rc = main(["tune", "--dataset", node_ds_path, "--checkpoint", ckpt_path,
+                   "--method", "edgeprompt+", "--seeds", "0", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        defaults = PromptTuner(None)
+        report = json.loads((tmp_path / "tune_report.json").read_text())
+        for name in ("epochs", "lr", "batch_size", "readout"):
+            assert report["config"][name] == getattr(defaults, name), name
+        assert len(report["runs"][0]["seeds"][0]["loss_history"]) == defaults.epochs
+        row = (tmp_path / "tune_report.csv").read_text().splitlines()[1]
+        assert row.endswith(f",{defaults.epochs}")
 
     def test_classifier_only_emits_no_prompt_files(self, node_ds_path, ckpt_path,
                                                    tmp_path):
@@ -276,6 +314,18 @@ class TestEvalCommand:
         assert rc == 1
         assert "'head.bias'" in capsys.readouterr().err
 
+
+    def test_prompt_file_with_another_slope_exits_1(self, node_ds_path, ckpt_path,
+                                                    tmp_path, capsys):
+        assert run_tune(node_ds_path, ckpt_path, tmp_path) == 0
+        lp = load_prompts(next(tmp_path.glob("*.prompts")))
+        lp.metadata["leaky_slope"] = 0.9
+        broken = str(tmp_path / "slope.prompts")
+        save_prompts(lp, broken)
+        rc = main(["eval", "--dataset", node_ds_path, "--checkpoint", ckpt_path,
+                   "--prompts", broken])
+        assert rc == 1
+        assert "leaky_slope 0.9" in capsys.readouterr().err
 
     def test_non_finite_checkpoint_exits_1_naming_the_tensor(self, node_ds_path, ckpt_path,
                                                               tmp_path, capsys):
@@ -423,6 +473,9 @@ class TestConfigFile:
     ["pretrain", "--strategy", "simgrace", "--noise-scale", "nan"],
     ["pretrain", "--strategy", "simgrace", "--noise-scale", "-1"],
     ["pretrain", "--strategy", "simgrace", "--noise-scale", "inf"],
+    ["pretrain", "--strategy", "graphcl", "--drop-ratio", "-0.5"],
+    ["pretrain", "--strategy", "graphcl", "--drop-ratio", "nan"],
+    ["pretrain", "--strategy", "graphcl", "--drop-ratio", "inf"],
     ["tune", "--method", "edgeprompt", "--seeds", "-1"],
     ["tune", "--method", "edgeprompt", "--lr", "nan"],
     ["verify", "theorem1", "--p", "0.8", "--q", "0.2", "--T", "2", "--nodes", "0"],
@@ -449,3 +502,52 @@ def test_out_of_range_value_exits_2_without_writing(argv, node_ds_path, ckpt_pat
              "gen-csbm": ["--out", str(out)]}
     assert main(argv + paths[argv[0]]) == 2
     assert not out.exists()
+
+
+# a table of flag values, each run on a node and a graph dataset: whatever
+# a value does, main ends it in an exit code and never in a traceback
+FLOAT_FLAGS = ["lr", "drop-ratio", "perturb-ratio", "temperature", "noise-scale", "mask-ratio"]
+INT_FLAGS = ["layers", "hidden", "epochs", "batch-size", "seed", "node-batch"]
+PRETRAIN_VALUES = ([(flag, v) for flag in FLOAT_FLAGS for v in ("-0.5", "nan", "inf", "1.5")]
+                   + [(flag, v) for flag in INT_FLAGS for v in ("-1", "0")])
+TUNE_VALUES = ([("lr", v) for v in ("-0.5", "nan", "inf")]
+               + [(flag, v) for flag in ("epochs", "batch-size", "shots", "anchors")
+                  for v in ("-1", "0")] + [("seeds", "-1")])
+
+
+def _escapes(argv, table):
+    """The (flag, value, outcome) of each row that ``main`` did not end
+    in exit code 0, 1 or 2."""
+    escapes = []
+    for flag, value in table:
+        try:
+            rc = main(argv + [f"--{flag}={value}"])
+        except Exception as exc:
+            escapes.append((flag, value, repr(exc)))
+        else:
+            if rc not in (0, 1, 2):
+                escapes.append((flag, value, rc))
+    return escapes
+
+
+@pytest.mark.parametrize("task", ["node", "graph"])
+@pytest.mark.parametrize("strategy", sorted(PRETRAINERS))
+def test_no_pretrain_flag_value_escapes(strategy, task, node_ds_path, graph_ds_path,
+                                        tmp_path):
+    ds = node_ds_path if task == "node" else graph_ds_path
+    argv = ["pretrain", "--strategy", strategy, "--dataset", ds,
+            "--out", str(tmp_path / "ck.bin"), "--epochs=1", "--hidden=4",
+            "--node-batch=8", "--batch-size=4"]
+    assert _escapes(argv, PRETRAIN_VALUES) == []
+
+
+@pytest.mark.parametrize("task", ["node", "graph"])
+@pytest.mark.parametrize("method", METHODS)
+def test_no_tune_flag_value_escapes(method, task, node_ds_path, graph_ds_path, ckpt_path,
+                                    graph_ckpt_path, tmp_path):
+    ds, ckpt = ((node_ds_path, ckpt_path) if task == "node"
+                else (graph_ds_path, graph_ckpt_path))
+    argv = ["tune", "--dataset", ds, "--checkpoint", ckpt, "--method", method,
+            "--out-dir", str(tmp_path / "out"), "--epochs=1", "--seeds=0", "--shots=2",
+            "--batch-size=4"]
+    assert _escapes(argv, TUNE_VALUES) == []

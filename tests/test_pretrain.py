@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 
@@ -23,6 +24,7 @@ from edgeprompt.pretrain import (
 )
 from edgeprompt.models import GNNModel, model_forward
 from edgeprompt.tensor import Tensor
+from edgeprompt.tuning import PromptTuner
 
 from conftest import random_connected_graph
 
@@ -167,6 +169,14 @@ class TestGraphCL:
         ds.graphs = []
         with pytest.raises(ConfigError):
             self._pretrainer().fit(ds)
+
+    @pytest.mark.parametrize("value", [-0.5, float("nan"), float("inf"), 1.5])
+    @pytest.mark.parametrize("name", ["drop_ratio", "perturb_ratio"])
+    def test_ratios_must_be_in_the_unit_interval(self, name, value):
+        # a node dataset once raised numpy's ValueError or OverflowError
+        for ds in (tiny_graph_dataset(4), two_cliques()):
+            with pytest.raises(ConfigError, match=name):
+                self._pretrainer(**{name: value}).fit(ds)
 
 
 class TestSimGRACE:
@@ -366,3 +376,17 @@ def test_get_params_roundtrip():
     assert est.epochs == 11
     with pytest.raises(ConfigError):
         est.set_params(bogus=1)
+
+
+@pytest.mark.parametrize("cls", [*PRETRAINERS.values(), PromptTuner],
+                         ids=lambda cls: cls.__name__)
+def test_parameters_are_the_dataclass_fields(cls):
+    names = cls._param_names()
+    assert names == [f.name for f in dataclasses.fields(cls)]
+    assert "strategy" not in names and "_recorded" not in names
+    if cls is not PromptTuner:
+        assert names[:6] == ["model_kind", "num_layers", "hidden_dim", "epochs", "lr", "seed"]
+    # only the tuner's checkpoint is positional
+    args = (None, "gcn") if cls is PromptTuner else ("gcn",)
+    with pytest.raises(TypeError):
+        cls(*args)

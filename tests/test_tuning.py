@@ -13,6 +13,7 @@ from edgeprompt.graph import Adjacency, Graph, disjoint_union, membership_from_o
 from edgeprompt.models import GNNModel, LinearHead, classifier_forward, readout
 from edgeprompt.optim import Adam
 from edgeprompt.pretrain import GraphCLPretrainer
+from edgeprompt.prompts import LEAKY_SLOPE
 from edgeprompt.tensor import Tape, Tensor, finite_difference_gradient
 from edgeprompt.tuning import (
     METHODS,
@@ -106,8 +107,7 @@ class TestNodeTuning:
                                        clique_split.test_ids)
         assert acc_direct == acc_loaded
 
-    def test_artifact_reproduces_tuner_at_non_default_slope(self, tmp_path,
-                                                            clique_ds, clique_split):
+    def test_artifact_reproduces_tuner(self, tmp_path, clique_ds, clique_split):
         from edgeprompt.checkpoint import load_prompts, save_prompts
         from edgeprompt.tuning import prompted_representations
 
@@ -116,7 +116,7 @@ class TestNodeTuning:
         ids = np.arange(g.num_nodes)
         for method in ("edgeprompt", "edgeprompt+", "gpf", "gpf-plus"):
             tuner = PromptTuner(ckpt, method=method, epochs=30, lr=0.05, anchors=3,
-                                leaky_slope=0.9, seed=0).fit(clique_ds, clique_split)
+                                seed=0).fit(clique_ds, clique_split)
             path = tmp_path / f"{method}.prompts"
             save_prompts(tuner.to_learned_prompts(), path)
             prompts, head = prompts_from_artifact(load_prompts(path), tuner.model_)
@@ -145,6 +145,17 @@ class TestNodeTuning:
             with pytest.raises(FormatError, match=re.escape(repr(name))):
                 prompts_from_artifact(lp, tuner.model_)
         prompts_from_artifact(good, tuner.model_)
+
+    def test_recorded_slope_other_than_the_constant_is_a_format_error(self, clique_ds,
+                                                                      clique_split):
+        tuner = PromptTuner(node_checkpoint(seed=6), method="edgeprompt+", epochs=1,
+                            anchors=2, seed=0).fit(clique_ds, clique_split)
+        lp = tuner.to_learned_prompts()
+        assert lp.metadata["leaky_slope"] == LEAKY_SLOPE == 0.2
+        prompts_from_artifact(lp, tuner.model_)
+        lp.metadata["leaky_slope"] = 0.9
+        with pytest.raises(FormatError, match="leaky_slope 0.9"):
+            prompts_from_artifact(lp, tuner.model_)
 
     def test_feature_dim_mismatch_rejected_before_training(self, clique_ds, clique_split):
         with pytest.raises(ConfigError):
