@@ -118,7 +118,7 @@ class Adjacency:
     and ``offsets`` is the CSR row table; ``counts`` (entries per output
     row, 0 for isolated nodes), ``rows`` (output rows with entries) and
     ``starts`` (their first entries) are the layout that
-    ``tensor.propagate`` and ``edge_softmax_sum`` expand and reduce with.
+    ``tensor.propagate`` and ``edge_softmax_sum`` chunk and reduce with.
     ``Graph.adjacency`` is the square operator over every node (``inputs``
     and ``outputs`` None); :meth:`blocks` cuts blocks from it that hold
     their rows' node ids and the output rows' positions among the input

@@ -15,7 +15,8 @@ sum_j c_ij e_ij = (sum_j c_ij S_ij) P: scores are summed (N x M) before
 they meet the anchors, so no E x D prompt tensor exists.  One fused tape
 op, ``tensor.edge_softmax_sum``, makes that sum from the N x 2M products
 h [W_top | W_bot]; the only edge-sized arrays it keeps are the M x E
-scores and LeakyReLU gate its backward needs.
+scores and LeakyReLU gate its backward needs; off the tape (prediction,
+frozen representations) no M x E array exists, only chunk buffers.
 """
 
 from __future__ import annotations

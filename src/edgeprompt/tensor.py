@@ -10,10 +10,17 @@ caching and no hidden state between passes.
 Everything here is float64 on purpose: the finite-difference oracle in
 :func:`finite_difference_gradient` is the independent check for every
 backward rule, and it only gets tight at double precision.
+
+The edge kernels (:func:`propagate`, :func:`edge_softmax_sum`) run in chunks
+on up to two threads (as CPU affinity allows), bitwise as on one.  Their
+pool is the one piece of process state, made when first needed.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Sequence
 
 import numpy as np
@@ -377,13 +384,63 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     return _emit(x.data[idx], [(x, lambda g: _segment_sum(g, idx, rows))])
 
 
-def _owner_sum(entries_t: np.ndarray, adj) -> np.ndarray:
-    """Per-owner sums of the columns of D x E ``entries_t``, as n_out x D
-    (columns sum faster than rows once rows are wide)."""
-    out = np.zeros((adj.num_out, entries_t.shape[0]))
-    if adj.starts.size:
-        out[adj.rows] = np.add.reduceat(entries_t, adj.starts, axis=1).T
-    return out
+# One chunk's arrays hold about this many bytes (2^20 / (8 width) entries of
+# `width` floats): small enough for L2, large enough to amortize a call.
+_CHUNK_BYTES = 1 << 20
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+_pool: list[ThreadPoolExecutor] = []  # made when first needed; a forked child's copy has no threads
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.clear)
+
+
+def _over_chunks(adj, width: int, kernel, scratch: int) -> None:
+    """Run ``kernel(rows, lo, hi, buffer)`` on chunks of about 2^20 / (8 width)
+    entries [lo, hi) of ``adj``, whole segments of the owners ``adj.rows[rows]``.
+    Up to ``_WORKERS`` contiguous runs of chunks write disjoint rows and
+    entries: the first here, the rest on the pool, in copies of this context
+    (numpy's error state lives there); the first error is raised after all.
+    A run's flat ``buffer`` holds ``scratch`` floats per entry of the largest
+    chunk, made here so that workers allocate nothing chunk-sized.
+    """
+    size = adj.owners.size
+    per = max(1, _CHUNK_BYTES // (8 * max(1, width)))
+    if not size:
+        return
+    if size <= per:  # one chunk, inline
+        return kernel(slice(0, adj.rows.size), 0, size, np.empty(scratch * size))
+    ends = np.append(adj.starts, size)
+    bounds = np.unique(np.append(np.searchsorted(adj.starts, np.arange(0, size, per)),
+                                 adj.rows.size))
+    # numpy sums M x 1 over M pairwise but M x e, e > 1, row by row:
+    # fold one-entry chunks into a neighbour
+    sizes = np.diff(ends[bounds])
+    bounds = bounds[np.concatenate(([True], (sizes[:-1] > 1) & (sizes[1:] > 1), [True]))]
+    chunks = [(slice(a, b), ends[a], ends[b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    cap, n = max(hi - lo for _, lo, hi in chunks), min(_WORKERS, len(chunks))
+
+    def run(part, buffer):
+        for rows, lo, hi in part:
+            kernel(rows, lo, hi, buffer)
+
+    if n > 1 and not _pool:
+        _pool.append(ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="edgeprompt"))
+    runs = [(chunks[i * len(chunks) // n:(i + 1) * len(chunks) // n], np.empty(scratch * cap))
+            for i in range(n)]
+    futures = [_pool[0].submit(contextvars.copy_context().run, run, *r) for r in runs[1:]]
+    try:
+        run(*runs[0])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+
+
+def _owner_sum(out: np.ndarray, entries: np.ndarray, adj, rows: slice, lo: int) -> None:
+    """out[i] = sum of i's rows of e x D ``entries`` (entries lo.. of ``adj``).
+    ``reduceat`` sums each segment pairwise, in the same order along either
+    axis, so a D x e array may come in transposed."""
+    out[adj.rows[rows]] = np.add.reduceat(entries, adj.starts[rows] - lo, axis=0)
 
 
 def propagate(h: Tensor, adj) -> Tensor:
@@ -392,25 +449,35 @@ def propagate(h: Tensor, adj) -> Tensor:
 
     Its backward propagates the output gradient over the transposed
     operator; a square one is symmetric (c_ij = c_ji), its own transpose.
+    Both gather, scale and sum chunks of e entries (``_over_chunks``) in
+    e x D buffers, so no E x D array exists.
     """
     if h.shape[0] != adj.num_in:
         raise ShapeError(f"propagate: {h.shape[0]} rows for {adj.num_in} input rows")
 
     def prop(x, op):
-        entries_t = np.take(x.T, op.targets, axis=1)
-        entries_t *= op.coeffs
-        return _owner_sum(entries_t, op)
+        x, width = np.ascontiguousarray(x), x.shape[1]
+        out = np.zeros((op.num_out, width))
+
+        def chunk(rows, lo, hi, buf):
+            entries = buf[:width * (hi - lo)].reshape(hi - lo, width)
+            np.take(x, op.targets[lo:hi], axis=0, out=entries, mode="clip")
+            entries *= op.coeffs[lo:hi, None]
+            _owner_sum(out, entries, op, rows, lo)
+
+        _over_chunks(op, width, chunk, scratch=width)
+        return out
 
     return _emit(prop(h.data, adj),
                  [(h, lambda g: prop(g, adj if adj.own is None else adj.transpose))])
 
 
-def _edge_softmax(logits: np.ndarray, adj, slope: float):
-    """Scores S_:k = softmax(LeakyReLU(a_i + b_j)) of each entry k = (i <- j),
-    for n_in x 2M ``logits`` [a | b] (a_i at i's own row), and the LeakyReLU gate.
-
-    Both are anchor-major (M x E), so every reduction over the M anchors
-    runs along axis 0 over contiguous entry rows.
+def _edge_softmax(logits: np.ndarray, adj, slope: float, keep: bool):
+    """Z_i = sum_j c_ij S_:k (n_out x M) for the scores S_:k =
+    softmax(LeakyReLU(a_i + b_j)) of each entry k = (i <- j), from n_in x 2M
+    ``logits`` [a | b] (a_i at i's own row), and with ``keep`` the M x E scores
+    and LeakyReLU gate.  Both are anchor-major, so every reduction over the M
+    anchors runs along axis 0 over contiguous entry rows.
     """
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
@@ -419,28 +486,41 @@ def _edge_softmax(logits: np.ndarray, adj, slope: float):
         raise ShapeError(f"edge softmax: logits {logits.shape} are not "
                          f"{adj.num_in} x 2M")
     m = cols // 2
-    a = logits[:, :m] if adj.own is None else logits[adj.own, :m]
-    # owners are sorted, so repeating a_i by entry count expands it
-    s = np.repeat(a.T, adj.counts, axis=1)
-    gate = np.take(logits[:, m:].T, adj.targets, axis=1)
-    s += gate
-    np.greater_equal(s, 0.0, out=gate)
-    np.maximum(gate, slope, out=gate)
-    s *= gate
-    top = s.max(axis=0)
-    # NaN propagates into the max; the stabilizer makes Inf harmless
-    if np.isnan(top).any():
-        raise NonFiniteError("edge softmax: logits contain NaN")
-    s -= top
-    np.exp(s, out=s)
-    s /= s.sum(axis=0)
-    return s, gate
+    a_t = np.ascontiguousarray((logits if adj.own is None else logits[adj.own])[:, :m].T)
+    b_t = np.ascontiguousarray(logits[:, m:].T)
+    z = np.zeros((adj.num_out, m))
+    kept = [np.empty((m, adj.owners.size)) if keep else None for _ in range(2)]
+
+    def chunk(rows, lo, hi, buf):
+        e = hi - lo
+        s, gate = buf[:2 * m * e].reshape(2, m, e)
+        top = buf[2 * m * e:(2 * m + 1) * e]
+        np.take(a_t, adj.owners[lo:hi], axis=1, out=s, mode="clip")
+        np.take(b_t, adj.targets[lo:hi], axis=1, out=gate, mode="clip")
+        s += gate
+        np.greater_equal(s, 0.0, out=gate)
+        np.maximum(gate, slope, out=gate)
+        s *= gate
+        np.max(s, axis=0, out=top)
+        # NaN propagates into the max; the stabilizer makes Inf harmless
+        if np.isnan(top.max()):
+            raise NonFiniteError("edge softmax: logits contain NaN")
+        s -= top
+        np.exp(s, out=s)
+        s /= np.sum(s, axis=0, out=top)
+        if keep:
+            kept[0][:, lo:hi], kept[1][:, lo:hi] = s, gate
+        s *= adj.coeffs[lo:hi]
+        _owner_sum(z, s.T, adj, rows, lo)
+
+    _over_chunks(adj, m, chunk, scratch=2 * m + 1)
+    return z, kept
 
 
 def edge_softmax(logits: Tensor, adj, slope: float) -> np.ndarray:
     """The entries' scores as an E x M array (no gradient); see
     :func:`edge_softmax_sum`."""
-    return _edge_softmax(logits.data, adj, slope)[0].T
+    return _edge_softmax(logits.data, adj, slope, keep=True)[1][0].T
 
 
 def edge_softmax_sum(logits: Tensor, adj, slope: float) -> Tensor:
@@ -450,25 +530,32 @@ def edge_softmax_sum(logits: Tensor, adj, slope: float) -> Tensor:
     This fuses gather, add, LeakyReLU, row softmax and the per-owner sum
     over j into one node whose backward keeps only the M x E scores S and gate:
     dS = c dZ[owner], dL = gate S (dS - <dS, S>); da sums dL per owner
-    into the owners' input rows, db per target.
+    into the owners' input rows, db per target.  Both passes run over chunks
+    of entries (``_over_chunks``); off the tape S and the gate exist only in
+    chunk buffers.  db is a ``bincount`` per anchor over the whole dL, so
+    its sums keep entry order.
     """
-    s, gate = _edge_softmax(logits.data, adj, slope)
-    m = s.shape[0]
-    # one anchor row at a time, so no second M x E array is made
-    z = np.zeros((adj.num_out, m))
-    row = np.empty(s.shape[1])
-    for k in range(m if adj.starts.size else 0):
-        np.multiply(s[k], adj.coeffs, out=row)
-        z[adj.rows, k] = np.add.reduceat(row, adj.starts)
+    z, (s, gate) = _edge_softmax(logits.data, adj, slope, keep=logits.tape is not None)
+    m = z.shape[1]
 
     def pull(g):
-        d = np.repeat(g.T, adj.counts, axis=1)
-        d *= adj.coeffs
-        d -= np.einsum("me,me->e", d, s)
-        d *= s
-        d *= gate
+        g_t = np.ascontiguousarray(g.T)
+        d = np.empty(s.shape)
+        da = np.zeros((adj.num_out, m))
+
+        def chunk(rows, lo, hi, buf):
+            dc, dot = buf[:m * (hi - lo)].reshape(m, hi - lo), buf[m * (hi - lo):][:hi - lo]
+            np.take(g_t, adj.owners[lo:hi], axis=1, out=dc, mode="clip")
+            dc *= adj.coeffs[lo:hi]
+            dc -= np.einsum("me,me->e", dc, s[:, lo:hi], out=dot)
+            dc *= s[:, lo:hi]
+            dc *= gate[:, lo:hi]
+            d[:, lo:hi] = dc
+            _owner_sum(da, dc.T, adj, rows, lo)
+
+        _over_chunks(adj, m, chunk, scratch=m + 1)
         out = np.zeros((adj.num_in, 2 * m))
-        out[slice(None) if adj.own is None else adj.own, :m] = _owner_sum(d, adj)
+        out[slice(None) if adj.own is None else adj.own, :m] = da
         for k in range(m):
             out[:, m + k] = np.bincount(adj.targets, weights=d[k], minlength=adj.num_in)
         return out

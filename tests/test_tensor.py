@@ -1,3 +1,7 @@
+import multiprocessing
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +10,10 @@ from hypothesis import strategies as st
 import edgeprompt.tensor as T
 from edgeprompt.errors import NonFiniteError, ShapeError
 from edgeprompt.graph import Graph
+from edgeprompt.optim import Adam, overflow_guard, train_step
 from edgeprompt.tensor import Tape, Tensor, finite_difference_gradient
 
-from conftest import rel_err
+from conftest import graph_with_isolated_nodes, rel_err
 
 
 def grad_of(build, *param_arrays):
@@ -38,6 +43,21 @@ def fd_of(build, *param_arrays, h=1e-6):
 def check_grads(build, *param_arrays, tol=1e-5):
     for ad, fd in zip(grad_of(build, *param_arrays), fd_of(build, *param_arrays)):
         assert rel_err(ad, fd) < tol
+
+
+@pytest.fixture
+def many_chunks(monkeypatch):
+    """Edge kernels in chunks of a few entries (one owner each from width 8
+    up) on two runs, so a 30-node graph spans many chunks and the pool's
+    thread runs the second half of them."""
+    monkeypatch.setattr(T, "_CHUNK_BYTES", 64)
+    monkeypatch.setattr(T, "_WORKERS", 2)
+
+
+def _chunk_count(adj, width):
+    starts = []
+    T._over_chunks(adj, width, lambda rows, lo, hi, buf: starts.append(lo), 0)
+    return len(starts)
 
 
 class TestTensorBasics:
@@ -143,6 +163,41 @@ class TestScatterAdd:
 _ISOLATED = Graph(4, [(0, 1), (1, 2), (0, 2)], np.zeros((4, 1)))
 # a path 0-1-2-3-4 and an isolated node 5
 _PATH = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4)], np.zeros((6, 1)))
+
+
+# 30 nodes (two of them isolated) and about 300 entries
+_CROWD = graph_with_isolated_nodes(np.random.default_rng(9), 30, 0.4)
+# h = a _WIDE: rows this wide make chunks of 2^20 / (8 * 4096) = 32 entries
+# at the default budget (64 at M = 2048 anchors), so the chunked op cases
+# run on the pool.  With a in [0.5, 1], a_i + b_j = (a_i + a_j / 2) c_k is
+# at least |c_k| / 2 >= 1/4 from LeakyReLU's kink, on both of its sides.
+_WIDE_COLS = 4096
+_C = np.random.default_rng(10).choice([-1.0, 1.0], _WIDE_COLS // 2) * \
+    np.random.default_rng(11).uniform(0.5, 1.0, _WIDE_COLS // 2)
+_WIDE = np.concatenate([_C, _C / 2]).reshape(1, _WIDE_COLS)
+
+
+def _crowd_block(kind):
+    """The one-layer block of every other row of ``_CROWD``."""
+    return _CROWD.adjacency(kind).blocks(np.arange(0, 30, 2), 1)[0]
+
+
+def _chunked_case(op, adj):
+    """An op case on rows of width _WIDE_COLS: ``propagate`` of a _WIDE, or
+    the edge softmax of logits a _WIDE (M = _WIDE_COLS / 2 anchors)."""
+    cols = _WIDE_COLS if op is T.propagate else _WIDE_COLS // 2
+
+    def case(rng):
+        w = Tensor(rng.uniform(-1, 1, (adj.num_out, cols)))
+
+        def build(a):
+            h = T.matmul(a, Tensor(_WIDE))
+            out = T.propagate(h, adj) if op is T.propagate else T.edge_softmax_sum(h, adj, 0.2)
+            return T.sum_all(T.mul(out, w))
+
+        return build, [rng.uniform(0.5, 1, (adj.num_in, 1))]
+
+    return case
 
 
 def _rect_block(kind):
@@ -295,6 +350,154 @@ class TestEdgeSoftmaxSum:
             T.edge_softmax_sum(Tensor(np.zeros((3, 4))), adj, 0.2)
         with pytest.raises(ValueError):
             T.edge_softmax_sum(Tensor(np.zeros((4, 4))), adj, 1.0)
+
+
+@pytest.mark.usefixtures("many_chunks")
+class TestPropagateInChunks(TestPropagate):
+    """TestPropagate's checks on many chunks, half of them on the pool."""
+
+
+@pytest.mark.usefixtures("many_chunks")
+class TestEdgeSoftmaxSumInChunks(TestEdgeSoftmaxSum):
+    """TestEdgeSoftmaxSum's checks on many chunks, half of them on the pool."""
+
+
+def _edge_outputs(adj, logits, w):
+    """edge_softmax_sum's Z off the tape, Z on it, and the logits gradient."""
+    t = Tensor(logits)
+    with Tape() as tape:
+        tape.watch(t)
+        z = T.edge_softmax_sum(t, adj, 0.2)
+        grad = tape.backward(T.sum_all(T.mul(z, Tensor(w))))[t]
+    return T.edge_softmax_sum(Tensor(logits), adj, 0.2).data, z.data, grad
+
+
+def _propagate_outputs(adj, x, w):
+    (grad,) = grad_of(lambda t: T.sum_all(T.mul(T.propagate(t, adj), Tensor(w))), x)
+    return T.propagate(Tensor(x), adj).data, grad
+
+
+def _chunking_cases():
+    """Whole operators and blocks with isolated rows, a path whose end
+    rows own one entry each, and a one-entry block."""
+    r = np.random.default_rng(11)
+    ops = []
+    for _ in range(3):
+        g = graph_with_isolated_nodes(r, 30, 0.2, isolated=4)
+        rows = r.choice(30, size=4, replace=False)
+        for kind in ("gcn", "gin"):
+            ops += [g.adjacency(kind)] + g.adjacency(kind).blocks(rows, 2)
+    for kind in ("gcn", "gin"):
+        ops += [_PATH.adjacency(kind), _rect_block(kind), _PATH.adjacency(kind).blocks([0], 1)[0]]
+    # M = 10 anchors: numpy sums 10 x 1 pairwise, so one-entry chunks show
+    return [(adj, r.uniform(-3, 3, (adj.num_in, 20)), r.uniform(-1, 1, (adj.num_out, 10)),
+             r.uniform(-1, 1, (adj.num_in, 3)), r.uniform(-1, 1, (adj.num_out, 3)))
+            for adj in ops]
+
+
+def _child_edge_softmax(send, adj, logits):
+    send.send(T.edge_softmax_sum(Tensor(logits), adj, 0.2).data)
+
+
+class TestChunks:
+    """The edge kernels' owner-aligned chunks and their thread pool."""
+
+    @pytest.mark.parametrize("budget, workers", [(64, 2), (64, 1), (64, 3), (2000, 2)])
+    def test_bitwise_for_any_chunking(self, monkeypatch, budget, workers):
+        # against one inline chunk: one entry or one owner per chunk, one
+        # inline run, more runs than cores, and chunks of several owners
+        cases = _chunking_cases()
+        want = [_edge_outputs(adj, l, w) + _propagate_outputs(adj, x, v)
+                for adj, l, w, x, v in cases]
+        assert all(_chunk_count(adj, 10) == 1 for adj, *_ in cases)
+        monkeypatch.setattr(T, "_CHUNK_BYTES", budget)
+        monkeypatch.setattr(T, "_WORKERS", workers)
+        assert max(_chunk_count(adj, 10) for adj, *_ in cases) > 2
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads as finely as possible
+        try:
+            for (adj, l, w, x, v), ref in zip(cases, want):
+                got = _edge_outputs(adj, l, w) + _propagate_outputs(adj, x, v)
+                for a, b in zip(got, ref):
+                    np.testing.assert_array_equal(a, b)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_wide_op_cases_span_many_chunks(self):
+        # criterion 1's chunked cases reach the pool at the default budget
+        for adj in (_CROWD.adjacency("gcn"), _crowd_block("gin")):
+            assert _chunk_count(adj, _WIDE_COLS) >= 3
+            assert _chunk_count(adj, _WIDE_COLS // 2) >= 3
+
+    def test_import_and_one_chunk_start_no_thread(self):
+        code = ("import threading, numpy as np; import edgeprompt.tensor as T; "
+                "from edgeprompt.graph import Graph; "
+                "g = Graph(3, [(0, 1), (1, 2)], np.zeros((3, 1))); "
+                "T.edge_softmax_sum(T.Tensor(np.ones((3, 4))), g.adjacency('gcn'), 0.2); "
+                "T.propagate(T.Tensor(np.ones((3, 2))), g.adjacency('gin')); "
+                "print(T._pool == [], threading.active_count())")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=60, check=True)
+        assert out.stdout.split() == ["True", "1"]
+
+    @pytest.mark.usefixtures("many_chunks")
+    def test_forked_child_makes_its_own_pool(self):
+        adj = _CROWD.adjacency("gcn")
+        logits = np.random.default_rng(3).uniform(-3, 3, (30, 8))
+        ref = T.edge_softmax_sum(Tensor(logits), adj, 0.2).data
+        assert T._pool
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_child_edge_softmax, args=(send, adj, logits))
+        child.start()
+        try:
+            # without a pool of its own the child's first chunked call hangs
+            assert recv.poll(60), "the forked child did not answer"
+            out = recv.recv()
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+                child.join(10)
+        assert child.exitcode == 0
+        np.testing.assert_array_equal(out, ref)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.usefixtures("many_chunks")
+class TestWorkerErrors:
+    """An error in a chunk the pool's thread runs reaches the caller as it
+    would inline: the trouble sits in the last owner's entries only."""
+
+    def _logits(self, value, spread=0.0):
+        adj = _CROWD.adjacency("gcn")
+        t = Tensor(np.zeros((30, 6)))
+        t.data[adj.owners[-1], 0] = value
+        t.data[:, 3:] = spread
+        assert _chunk_count(adj, 3) > 2
+        return t, adj
+
+    def test_overflow_under_the_guard_is_non_finite(self):
+        logits, adj = self._logits(1e308, spread=1e308)
+        with pytest.raises(NonFiniteError, match="overflow"):
+            with overflow_guard("scores"):
+                T.edge_softmax_sum(logits, adj, 0.2)
+
+    def test_nan_past_the_first_chunk(self):
+        logits, adj = self._logits(np.nan)
+        with pytest.raises(NonFiniteError, match="NaN"):
+            T.edge_softmax_sum(logits, adj, 0.2)
+
+    def test_train_step_stops_before_the_update(self):
+        logits, adj = self._logits(1e308, spread=1e308)
+        before = logits.data.copy()
+        opt = Adam([logits], lr=0.1)
+        w = Tensor(np.ones((30, 3)))
+        with pytest.raises(NonFiniteError, match="step 1"):
+            train_step(opt, lambda: T.sum_all(T.mul(T.edge_softmax_sum(logits, adj, 0.2), w)),
+                       "step 1")
+        np.testing.assert_array_equal(logits.data, before)
+        assert opt.step_count == 0
 
 
 class TestSoftmax:
@@ -576,6 +779,10 @@ _OP_CASES = {
             T.mul(T.edge_softmax_sum(a, _rect_block("gin"), 0.2), w)),
         [rng.uniform(-2, 2, (4, 6))],
     ),
+    # many chunks, on the pool
+    **{f"{op.__name__}_chunked_{name}_{kind}": _chunked_case(op, adj)
+       for op in (T.propagate, T.edge_softmax_sum) for kind in ("gcn", "gin")
+       for name, adj in (("graph", _CROWD.adjacency(kind)), ("block", _crowd_block(kind)))},
     "slice_rows": lambda rng: (
         lambda a, w=Tensor(rng.uniform(-1, 1, (2, 3))): T.sum_all(
             T.mul(T.slice_rows(a, 1, 3), w)),
