@@ -243,8 +243,7 @@ def _cmd_verify(args) -> int:
         mu1, mu2 = _class_means(2, args.separation)
         params = CSBMParams(mu1, mu2, p=args.p, q=args.q, n_per_class=args.nodes)
         witness = theorem1_construct_witness(params, args.T)
-        report = theorem1_verify(params, witness, n_nodes=args.nodes,
-                                 n_trials=args.trials, seed=args.seed,
+        report = theorem1_verify(params, witness, n_trials=args.trials, seed=args.seed,
                                  tolerance=args.tolerance)
         payload = {
             "theorem": "theorem1",

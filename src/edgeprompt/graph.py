@@ -172,8 +172,10 @@ class Adjacency:
         operator's outputs at ``rows``: block l maps rows B^l to B^{l+1}.
         B^L is ``rows`` (sorted if not distinct); B^l is B^{l+1} if those
         rows are whole components (the block is then their disjoint union's
-        operator, in their order), else them and their neighbours, sorted.
-        Any B^l whose rows own all but 1/64 of the entries is every node.
+        operator, in their order, and serves every layer left), else them
+        and their neighbours, sorted.  Any B^l whose rows own all but 1/64
+        of the entries is every node, in id order: sums over its rows (as
+        weight gradients) may then round unlike those in B^{l+1}'s order.
         Block l holds this operator's entries owned by B^{l+1}, row by row
         in CSR order; one that outputs every node is this operator itself.
         """
@@ -186,24 +188,26 @@ class Adjacency:
         inside[rows] = True
         outputs = rows if widen(inside) == rows.size else np.flatnonzero(inside)
         chain = []
-        for _ in range(layers):
-            if outputs.size == self.num_out:
-                chain.append(self)
-                continue
-            starts = self.offsets[outputs]
-            counts = self.offsets[outputs + 1] - starts
-            offsets = np.concatenate(([0], np.cumsum(counts)))
-            entries = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
-            inside = np.zeros(self.num_out, dtype=bool)
-            inside[outputs] = inside[self.targets[entries]] = True
-            inputs = outputs if widen(inside) == outputs.size else np.flatnonzero(inside)
-            local = np.zeros(self.num_out, dtype=np.int64)  # a node's position among the inputs
-            local[inputs] = np.arange(inputs.size)
-            self_coeffs = None if self.self_coeffs is None else self.self_coeffs[outputs]
-            chain.append(Adjacency(np.repeat(np.arange(outputs.size), counts),
-                                   local[self.targets[entries]], offsets, self.coeffs[entries],
-                                   self_coeffs, inputs, outputs))
-            outputs = inputs
+        while len(chain) < layers:
+            block = self
+            if outputs.size < self.num_out:
+                starts = self.offsets[outputs]
+                counts = self.offsets[outputs + 1] - starts
+                offsets = np.concatenate(([0], np.cumsum(counts)))
+                entries = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
+                inside = np.zeros(self.num_out, dtype=bool)
+                inside[outputs] = inside[self.targets[entries]] = True
+                inputs = outputs if widen(inside) == outputs.size else np.flatnonzero(inside)
+                local = np.zeros(self.num_out, dtype=np.int64)  # position among the inputs
+                local[inputs] = np.arange(inputs.size)
+                self_coeffs = None if self.self_coeffs is None else self.self_coeffs[outputs]
+                block = Adjacency(np.repeat(np.arange(outputs.size), counts),
+                                  local[self.targets[entries]], offsets, self.coeffs[entries],
+                                  self_coeffs, inputs, outputs)
+                outputs = inputs
+            chain.append(block)
+            if block.num_in == block.num_out:  # square: every layer left runs on it too
+                chain += [block] * (layers - len(chain))
         return chain[::-1]
 
 

@@ -1,11 +1,11 @@
-"""GCN and GIN backbones with an edge-prompt injection point.
+"""GCN and GIN backbones with a node- and an edge-prompt injection point.
 
-Edge prompts enter aggregation as ``c_ij (h_j + e_ij)`` per directed
-entry (i <- j), computed as sum_j c_ij (h_j + e_ij) = (Â h)_i + sum_j
-c_ij e_ij: one ``propagate`` plus an N x D prompt term per layer (from
-``prompts.EdgePromptPlusParams.aggregate``), so no per-edge prompt row
-exists.  Self terms (the GCN self-loop, the GIN ``h_i``) never carry a
-prompt.
+Node prompts add to the input features.  Edge prompts enter aggregation
+as ``c_ij (h_j + e_ij)`` per directed entry (i <- j), computed as sum_j
+c_ij (h_j + e_ij) = (Â h)_i + sum_j c_ij e_ij: one ``propagate`` plus an
+N x D prompt term per layer (``prompts.EdgePromptPlusParams.aggregate``),
+so no per-edge prompt row exists.  Self terms (the GCN self-loop, the
+GIN ``h_i``) never carry a prompt.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import numpy as np
 from .base import seeded_rng
 from .errors import ConfigError, ShapeError
 from .graph import Adjacency, Graph
+from .prompts import NodePromptParams
 from . import tensor as T
 from .tensor import Tensor
 
@@ -176,22 +177,25 @@ def gin_layer_forward(layer: GINLayer, h: Tensor, adj: Adjacency,
     return layer.mlp(agg)
 
 
-def model_forward(model: GNNModel, g: Graph, prompts=None, features: Tensor | None = None,
+def model_forward(model: GNNModel, g: Graph, prompts=None,
                   blocks: list[Adjacency] | None = None) -> Tensor:
     """Run all layers; h^(0) is the graph's feature matrix.
 
-    ``prompts`` is None or an ``EdgePromptPlusParams`` with one anchor
-    set per layer.  ``features`` substitutes h^(0) (used by the
-    node-feature prompt baselines).  ``blocks`` (from ``Adjacency.blocks``)
-    runs layer l on block l instead of the graph's operator; ``features``
-    then holds block 0's input rows and the result the last output rows.
+    ``prompts`` is None or a prompt family: a ``NodePromptParams`` (the
+    GPF baselines) adds to h^(0), an ``EdgePromptPlusParams`` with one
+    anchor set per layer adds its term in each layer.  ``blocks`` (from
+    ``Adjacency.blocks``) runs layer l on block l instead of the graph's
+    operator; h^(0) is then block 0's input rows, the result the last
+    output rows.
     """
     blocks = blocks or [g.adjacency(model.kind)] * model.num_layers
-    h = Tensor(g.features) if features is None else features
+    h = Tensor(g.features if blocks[0].inputs is None else g.features[blocks[0].inputs])
     if h.shape != (blocks[0].num_in, model.input_dim):
         raise ShapeError(
             f"input features {h.shape} vs expected ({blocks[0].num_in}, {model.input_dim})"
         )
+    if isinstance(prompts, NodePromptParams):
+        h, prompts = prompts.apply(h), None
     if prompts is not None and len(prompts.anchors) != model.num_layers:
         raise ShapeError(
             f"prompts have {len(prompts.anchors)} layers, model has {model.num_layers}"

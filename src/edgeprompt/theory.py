@@ -175,26 +175,24 @@ def _simulate_distances(rng: np.random.Generator, params: CSBMParams,
     return float(d_plain), float(d_prompt)
 
 
-def theorem1_verify(params: CSBMParams, witness: Theorem1Witness,
-                    n_nodes: int = 2000, n_trials: int = 20, seed: int = 0,
-                    tolerance: float = 0.05) -> DistanceReport:
+def theorem1_verify(params: CSBMParams, witness: Theorem1Witness, n_trials: int = 20,
+                    seed: int = 0, tolerance: float = 0.05) -> DistanceReport:
     """Monte-Carlo check that the witness scales the centroid distance by T.
 
-    ``n_nodes`` is nodes per class.  Each trial samples a fresh CSBM
-    graph, mean-aggregates raw features with and without the witness's
-    expected prompts (the proof's idealized GCN step), and measures the
+    Each trial samples a fresh CSBM graph of ``params.n_per_class`` nodes a
+    class, mean-aggregates raw features with and without the witness's
+    expected prompts (the proof's idealized GCN step) and measures the
     centroid-distance ratio.  Passes iff |mean ratio - T| <= tolerance.
     """
     if n_trials < 1:
         raise ConfigError("n_trials must be >= 1")
-    sim = CSBMParams(params.mu1, params.mu2, params.p, params.q, n_per_class=n_nodes)
     e = _pair_prompts(witness)
     d_plain = np.empty(n_trials)
     d_prompt = np.empty(n_trials)
     for t in range(n_trials):
         rng = seeded_rng(seed, t, 0x7E01)
-        d_plain[t], d_prompt[t] = _simulate_distances(rng, sim, e)
-    analytic = csbm_expected_distance(sim)
+        d_plain[t], d_prompt[t] = _simulate_distances(rng, params, e)
+    analytic = csbm_expected_distance(params)
     ratios = d_prompt / d_plain
     emp_plain, hw_plain = _mean_and_half_width(d_plain)
     emp_prompt, hw_prompt = _mean_and_half_width(d_prompt)
@@ -210,7 +208,7 @@ def theorem1_verify(params: CSBMParams, witness: Theorem1Witness,
         ratio_half_width=ratio_hw,
         target_ratio=witness.target_ratio,
         tolerance=tolerance,
-        n_nodes_per_class=n_nodes,
+        n_nodes_per_class=params.n_per_class,
         n_trials=n_trials,
         passed=bool(abs(ratio_mean - witness.target_ratio) <= tolerance),
     )
@@ -280,9 +278,12 @@ def random_connected_inputs(rng: np.random.Generator, max_nodes: int):
     return Graph(n, edges, feats), p_hat, weight
 
 
+RESIDUAL_BOUND = 1e-9  # theorem 2 holds if every draw's residual is below this
+CONTROL_BOUND = 1e-3  # and every 1.1x-detuned control's residual above this
+
+
 def theorem2_random_trials(n_trials: int = 100, max_nodes: int = 20, seed: int = 0,
-                           eps_values=(0.0, 0.5), residual_bound: float = 1e-9,
-                           control_bound: float = 1e-3) -> EquivalenceReport:
+                           eps_values=(0.0, 0.5)) -> EquivalenceReport:
     """Run the equivalence check + 1.1x negative control on random draws."""
     if n_trials < 1:
         raise ConfigError("n_trials must be >= 1")
@@ -297,7 +298,7 @@ def theorem2_random_trials(n_trials: int = 100, max_nodes: int = 20, seed: int =
         controls.append(
             theorem2_equivalence_check(g, p_hat, eps, weight, coefficient_scale=1.1)
         )
-    passed = max(residuals) < residual_bound and min(controls) > control_bound
+    passed = max(residuals) < RESIDUAL_BOUND and min(controls) > CONTROL_BOUND
     return EquivalenceReport(
         residuals=residuals,
         control_residuals=controls,

@@ -3,11 +3,12 @@
 :class:`PromptTuner` is the one estimator for both downstream tasks: it
 learns prompt parameters (per ``method``) and a linear probe on top of a
 checkpointed backbone whose weights are never touched.  A batch of
-instances is a set of node rows of the dataset's one cached graph
-(``LabeledDataset.node_graph``): a node task's ids, or a graph task's
-graphs' nodes, read out per graph before the probe.  Layer l runs on
-block l of their message-flow chain (``Adjacency.blocks``), only the
-rows that they read through the layers left.
+instances (``_Batch``) is a set of node rows of the dataset's one cached
+graph (``LabeledDataset.node_graph``): a node task's ids, or a graph
+task's graphs' nodes.  It runs layer l on block l of their message-flow
+chain (``Adjacency.blocks``), only the rows that they read through the
+layers left, and gives the probe one input row per instance (a graph
+task's read out per graph).
 
 Methods: ``edgeprompt``, ``edgeprompt+``, ``gpf``, ``gpf-plus``, and
 ``classifier-only`` (no prompts; the probing baseline).
@@ -15,6 +16,7 @@ Methods: ``edgeprompt``, ``edgeprompt+``, ``gpf``, ``gpf-plus``, and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
@@ -23,7 +25,7 @@ from .base import BaseEstimator, check_is_fitted, check_positive, seeded_rng
 from .checkpoint import Checkpoint, LearnedPrompts, build_model
 from .data import FewShotSplit, LabeledDataset
 from .errors import ConfigError, FormatError
-from .graph import Adjacency, Graph, unique_sorted
+from .graph import Adjacency, unique_sorted
 from .models import GNNModel, LinearHead, classifier_forward, model_forward, readout
 from .optim import Adam, train_step
 from .prompts import LEAKY_SLOPE, EdgePromptPlusParams, NodePromptParams
@@ -35,32 +37,24 @@ METHODS = ("edgeprompt", "edgeprompt+", "gpf", "gpf-plus", "classifier-only")
 _EVAL_CHUNK = 128  # graphs per batch during evaluation
 
 
-def prompted_representations(model: GNNModel, g: Graph, prompt_params,
-                             blocks: list[Adjacency] | None = None) -> Tensor:
-    """Final node representations under the given prompt family (or none).
-
-    With a chain of ``blocks`` of ``g`` (from ``Adjacency.blocks``), only
-    the last block's output rows, computed on the chain.
-    """
-    nodes = None if blocks is None else blocks[0].inputs
-    x = Tensor(g.features if nodes is None else g.features[nodes])
-    if isinstance(prompt_params, NodePromptParams):
-        x, prompt_params = prompt_params.apply(x), None
-    return model_forward(model, g, prompts=prompt_params, features=x, blocks=blocks)
+# ``model_forward`` under the name that callers outside the package use
+prompted_representations = model_forward
 
 
 class _Batch:
-    """Instances ``ids`` as the ``rows`` of ``ds.node_graph()`` that their
-    chain runs on (a graph task's graphs' nodes in id order, whose chain
-    is their disjoint union), the rows read out in id order (``reads``)
-    and their graphs' positions in ``ids`` (``member``, graph task only)."""
+    """Instances ``ids`` for ``model``: the ``rows`` of ``ds.node_graph()``
+    that their chain runs on (a graph task's graphs' nodes in id order,
+    whose chain is their disjoint union), the rows read out in id order
+    (``reads``) and their graphs' positions in ``ids`` (``member``, graph
+    task only)."""
 
-    def __init__(self, ds: LabeledDataset, ids):
+    def __init__(self, ds: LabeledDataset, ids, model: GNNModel):
         self.ids = np.asarray(ids, dtype=np.int64).reshape(-1)
         self.graph, offsets = ds.node_union()
         count = offsets[-1] if ds.task == "node" else offsets.size - 1
         if self.ids.size and (self.ids.min() < 0 or self.ids.max() >= count):
             raise ConfigError(f"ids fall outside the dataset's {count} instances")
+        self.model = model
         # a node task reads its ids out of the chain of their sorted rows
         self.rows, self.reads, self.member = unique_sorted(self.ids), self.ids, None
         if ds.task == "graph":
@@ -69,21 +63,21 @@ class _Batch:
             firsts = offsets[self.ids] - np.cumsum(sizes) + sizes
             self.rows = self.reads = firsts[self.member] + np.arange(self.member.size)
 
-    def logits(self, model, prompt_params, head, readout_kind, blocks=None, reps=None):
-        """The probe's logits, run on a chain ``blocks`` (by default the
-        rows' own) or read from ``reps`` of its output rows."""
-        blocks = blocks or self.graph.adjacency(model.kind).blocks(self.rows, model.num_layers)
-        if reps is None:
-            reps = prompted_representations(model, self.graph, prompt_params, blocks)
+    @functools.cached_property
+    def chain(self) -> tuple[list[Adjacency], np.ndarray]:
+        """The rows' blocks and the read rows' positions among the last block's outputs."""
+        blocks = self.graph.adjacency(self.model.kind).blocks(self.rows, self.model.num_layers)
         at, outputs = self.reads, blocks[-1].outputs  # None: every node
-        if outputs is not None:  # each read row's position among the outputs
-            at = np.zeros(self.graph.num_nodes, dtype=np.int64)
-            at[outputs] = np.arange(outputs.size)
-            at = at[self.reads]
-        reps = T.gather_rows(reps, at)
-        if self.member is not None:
-            reps = readout(reps, self.member, readout_kind)
-        return classifier_forward(head, reps)
+        if outputs is not None:
+            order = np.argsort(outputs)
+            at = order[np.searchsorted(outputs, self.reads, sorter=order)]
+        return blocks, at
+
+    def representations(self, prompts, readout_kind: str) -> Tensor:
+        """The probe's inputs: one row per instance (a graph task's read out per graph)."""
+        blocks, at = self.chain
+        reps = T.gather_rows(model_forward(self.model, self.graph, prompts, blocks), at)
+        return reps if self.member is None else readout(reps, self.member, readout_kind)
 
 
 def evaluate_accuracy(model: GNNModel, prompt_params, head: LinearHead,
@@ -107,8 +101,8 @@ def predict_labels(model: GNNModel, prompt_params, head: LinearHead,
     preds = np.empty(ids.size, dtype=np.int64)
     chunk = max(ids.size, 1) if ds.task == "node" else _EVAL_CHUNK
     for start in range(0, ids.size, chunk):
-        logits = _Batch(ds, ids[start : start + chunk]).logits(model, prompt_params, head,
-                                                               readout_kind)
+        batch = _Batch(ds, ids[start : start + chunk], model)
+        logits = classifier_forward(head, batch.representations(prompt_params, readout_kind))
         preds[start : start + chunk] = np.argmax(logits.data, axis=1)
     return preds
 
@@ -116,8 +110,6 @@ def predict_labels(model: GNNModel, prompt_params, head: LinearHead,
 @dataclass(eq=False)
 class PromptTuner(BaseEstimator):
     """Learn prompts + a linear probe for a frozen checkpointed backbone.
-
-    Both tasks run batches as node rows of the dataset's one cached graph.
 
     Parameters
     ----------
@@ -175,7 +167,7 @@ class PromptTuner(BaseEstimator):
         if dataset.feature_dim != model.input_dim:
             raise ConfigError(f"dataset feature dim {dataset.feature_dim} does not match "
                               f"checkpoint input dim {model.input_dim}")
-        train = _Batch(dataset, split.train_ids)
+        train = _Batch(dataset, split.train_ids, model)
         if train.ids.size == 0:
             raise ConfigError("split has no training instances")
 
@@ -189,12 +181,9 @@ class PromptTuner(BaseEstimator):
         trainable = ([] if prompts is None else prompts.trainable())
         opt = Adam(trainable + [t for _, t in head.parameters()], lr=self.lr)
         history = {"loss": [], "train_acc": [], "grad_norm": []}
-        labels, g = dataset.all_labels(), train.graph
-        # a node task's one batch never changes, nor without prompts do the
-        # representations: then every step runs on the training rows' chain
-        chain = (g.adjacency(model.kind).blocks(train.rows, model.num_layers)
-                 if task == "node" or prompts is None else None)
-        frozen_reps = None if prompts is not None else prompted_representations(model, g, None, chain)
+        labels = dataset.all_labels()
+        # without prompts the probe's inputs never change: compute the training set's once
+        frozen = train.representations(None, self.readout) if prompts is None else None
         # a node task steps once per epoch on all labeled nodes, weight 1;
         # a graph task on shuffled batches of batch_size, weighted by size
         batch_rng = None if task == "node" else seeded_rng(self.seed, 0xBA7C)
@@ -203,16 +192,20 @@ class PromptTuner(BaseEstimator):
 
         def loss_fn():  # on the current batch
             nonlocal logits
-            logits = batch.logits(model, prompts, head, self.readout, chain, frozen_reps)
+            logits = classifier_forward(head, T.gather_rows(frozen, at) if prompts is None
+                                        else batch.representations(prompts, self.readout))
             return T.cross_entropy_with_logits(logits, y)
 
         for epoch in range(self.epochs):
-            order = train.ids if task == "node" else train.ids[batch_rng.permutation(train.ids.size)]
+            where = f"{self.method}, epoch {epoch + 1} of {self.epochs}"
+            order = (np.arange(train.ids.size) if task == "node"
+                     else batch_rng.permutation(train.ids.size))
             losses, norms, weights, correct = [], [], [], 0
             for start in range(0, order.size, step):
-                batch = train if task == "node" else _Batch(dataset, order[start : start + step])
+                at = order[start : start + step]  # the batch's positions among the training ids
+                batch = train if task == "node" else _Batch(dataset, train.ids[at], model)
                 y = labels[batch.ids]
-                loss, grad_norm = train_step(opt, loss_fn, self._where(epoch))
+                loss, grad_norm = train_step(opt, loss_fn, where)
                 losses.append(loss.item())
                 norms.append(grad_norm)
                 weights.append(1 if task == "node" else batch.ids.size)
@@ -224,9 +217,6 @@ class PromptTuner(BaseEstimator):
         self.model_, self.prompts_, self.head_, self.history_ = model, prompts, head, history
         self.num_classes_, self.task_, self.split_ = dataset.num_classes, task, split
         return self
-
-    def _where(self, epoch: int) -> str:
-        return f"{self.method}, epoch {epoch + 1} of {self.epochs}"
 
     # ------------------------------------------------------------------
 

@@ -208,8 +208,7 @@ def test_criterion_3_separation_law():
     ratios = {}
     for target in (1.5, 2.0, 7.0 / 3.0):
         witness = theorem1_construct_witness(params, target)
-        report = theorem1_verify(params, witness, n_nodes=2000, n_trials=20,
-                                 seed=0, tolerance=0.05)
+        report = theorem1_verify(params, witness, n_trials=20, seed=0, tolerance=0.05)
         assert report.passed
         assert abs(report.ratio_mean - target) <= 0.05
         ratios[round(target, 4)] = round(report.ratio_mean, 4)

@@ -256,6 +256,18 @@ class TestRestrict:
             for name in ("owners", "targets", "offsets", "coeffs", "self_coeffs"):
                 np.testing.assert_array_equal(getattr(block, name), getattr(batch, name))
 
+    @pytest.mark.parametrize("kind", ["gcn", "gin"])
+    def test_whole_components_take_one_block_for_every_layer(self, kind):
+        # a square block's inputs are its outputs, so every layer runs on it
+        rng = np.random.default_rng(3)
+        union, offsets = disjoint_union([random_connected_graph(rng, n) for n in (5, 4, 6)])
+        rows = np.concatenate([np.arange(offsets[2], offsets[3]), np.arange(offsets[1])])
+        adj = union.adjacency(kind)
+        first, second, third = adj.blocks(rows, 3)
+        assert first is second is third and first is not adj
+        np.testing.assert_array_equal(first.outputs, rows)
+        assert all(block is adj for block in adj.blocks(np.arange(union.num_nodes), 3))
+
     def test_field_of_an_isolated_node_has_no_entries(self):
         g = Graph(4, [(0, 1), (1, 2)], np.zeros((4, 1)))
         for block in g.adjacency("gcn").blocks([3], 2):

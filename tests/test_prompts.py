@@ -200,10 +200,7 @@ def test_prompted_forward_gradients_match_finite_differences(rng):
     weights = rng.uniform(-1, 1, (6, 4))
 
     def run(params_obj):
-        if isinstance(params_obj, NodePromptParams):
-            out = model_forward(model, g, features=params_obj.apply(Tensor(g.features)))
-        else:
-            out = model_forward(model, g, prompts=params_obj)
+        out = model_forward(model, g, prompts=params_obj)
         return T.sum_all(T.mul(out, Tensor(weights)))
 
     families = [

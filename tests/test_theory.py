@@ -43,7 +43,7 @@ class TestExpectedDistance:
         # unprompted simulated distance vs the closed form, 2000-node graphs
         params = params_82(n=1000, sep=1.0)
         witness = theorem1_construct_witness(params, 1.5)
-        report = theorem1_verify(params, witness, n_nodes=1000, n_trials=6, seed=3)
+        report = theorem1_verify(params, witness, n_trials=6, seed=3)
         analytic = csbm_expected_distance(params)
         se = max(report.empirical_unprompted_half_width / 1.96, 1e-6)
         assert abs(report.empirical_unprompted - analytic) < 3.0 * se + 1e-3
@@ -104,40 +104,39 @@ class TestWitnessConstruction:
 
 class TestTheorem1Verify:
     def test_ratio_tracks_target(self):
-        params = params_82(sep=1.0)
+        params = params_82(n=500, sep=1.0)
         for target in (1.5, 2.0):
             w = theorem1_construct_witness(params, target)
-            report = theorem1_verify(params, w, n_nodes=500, n_trials=8, seed=1)
+            report = theorem1_verify(params, w, n_trials=8, seed=1)
             assert report.passed
             assert abs(report.ratio_mean - target) <= 0.05
 
     def test_equal_scores_give_ratio_one(self):
-        params = params_82()
+        params = params_82(n=400)
         w = Theorem1Witness(np.stack([params.mu1, params.mu2]),
                             b11=0.4, b22=0.4, b12=0.5, b21=0.5, target_ratio=1.0)
-        report = theorem1_verify(params, w, n_nodes=400, n_trials=6, seed=2,
+        report = theorem1_verify(params, w, n_trials=6, seed=2,
                                  tolerance=0.05)
         assert report.ratio_mean == pytest.approx(1.0, abs=0.02)
 
     def test_zero_anchors_give_ratio_one(self):
-        params = params_82()
+        params = params_82(n=400)
         w = Theorem1Witness(np.zeros((2, 2)), b11=0.9, b22=0.1, b12=0.5, b21=0.5,
                             target_ratio=1.0)
-        report = theorem1_verify(params, w, n_nodes=400, n_trials=6, seed=4)
+        report = theorem1_verify(params, w, n_trials=6, seed=4)
         assert report.ratio_mean == pytest.approx(1.0, abs=0.02)
 
     def test_half_width_shrinks_with_node_count(self):
-        params = params_82(sep=1.0)
-        w = theorem1_construct_witness(params, 2.0)
-        small = theorem1_verify(params, w, n_nodes=200, n_trials=12, seed=5)
-        big = theorem1_verify(params, w, n_nodes=800, n_trials=12, seed=5)
+        w = theorem1_construct_witness(params_82(sep=1.0), 2.0)
+        small = theorem1_verify(params_82(n=200, sep=1.0), w, n_trials=12, seed=5)
+        big = theorem1_verify(params_82(n=800, sep=1.0), w, n_trials=12, seed=5)
         assert big.ratio_half_width < small.ratio_half_width
 
     def test_band_contains_target_across_seeds(self):
-        params = params_82(sep=1.0)
+        params = params_82(n=500, sep=1.0)
         w = theorem1_construct_witness(params, 1.8)
         for seed in range(5):
-            report = theorem1_verify(params, w, n_nodes=500, n_trials=6, seed=seed)
+            report = theorem1_verify(params, w, n_trials=6, seed=seed)
             assert abs(report.ratio_mean - 1.8) <= report.tolerance
 
     def test_block_simulation_matches_explicit_loop(self):
@@ -187,7 +186,7 @@ class TestTheorem1Verify:
 
         params = params_82()
         w = theorem1_construct_witness(params, 1.5)
-        report = theorem1_verify(params, w, n_nodes=100, n_trials=3, seed=0)
+        report = theorem1_verify(params, w, n_trials=3, seed=0)
         json.dumps(dataclasses.asdict(report))
 
 

@@ -500,16 +500,15 @@ def test_grad_norm_is_each_steps_gradient_norm(clique_ds, clique_split, graph_ds
 # graph tasks: a batch is rows of the dataset's one cached graph
 
 
-def union_logits(ds):
+def union_representations(ds):
     """The per-batch forward that graph tasks ran before they ran on the
     blocks of ``ds.node_graph()``: a new disjoint union of the batch's
     graphs, read out per graph."""
-    def logits(batch, model, prompts, head, readout_kind, blocks=None, reps=None):
+    def representations(batch, prompts, readout_kind):
         union, offsets = disjoint_union([ds.graphs[i] for i in batch.ids])
-        h = prompted_representations(model, union, prompts)
-        return classifier_forward(head, readout(h, membership_from_offsets(offsets),
-                                                readout_kind))
-    return logits
+        h = prompted_representations(batch.model, union, prompts)
+        return readout(h, membership_from_offsets(offsets), readout_kind)
+    return representations
 
 
 GRAPH_CASES = [(kind, how) for kind in ("gcn", "gin") for how in ("sum", "mean")]
@@ -522,16 +521,17 @@ class TestGraphBatches:
         ckpt = checkpoint_from_model(GNNModel.create(kind, (2, 8, 8), seed=1),
                                      strategy="graphcl", seed=0)
         ids = np.random.default_rng(4).permutation(len(graph_ds.graphs))[:9]
-        reference = union_logits(graph_ds)
+        reference = union_representations(graph_ds)
         for method in METHODS:
             # a few steps so that every prompt tensor is non-zero
             tuner = PromptTuner(ckpt, method=method, epochs=3, lr=0.1, anchors=2,
                                 batch_size=4, readout=readout_kind, seed=1).fit(graph_ds,
                                                                                graph_split)
-            batch = tuning._Batch(graph_ds, ids)
-            args = (tuner.model_, tuner.prompts_, tuner.head_, readout_kind)
-            np.testing.assert_array_equal(batch.logits(*args).data,
-                                          reference(batch, *args).data, err_msg=method)
+            batch = tuning._Batch(graph_ds, ids, tuner.model_)
+            args = (tuner.prompts_, readout_kind)
+            np.testing.assert_array_equal(
+                classifier_forward(tuner.head_, batch.representations(*args)).data,
+                classifier_forward(tuner.head_, reference(batch, *args)).data, err_msg=method)
 
     # 12 training graphs: three batches an epoch, or one
     @pytest.mark.parametrize("batch_size", [5, 12])
@@ -547,7 +547,7 @@ class TestGraphBatches:
                                seed=3).fit(graph_ds, graph_split)
 
         with monkeypatch.context() as mp:
-            mp.setattr(tuning._Batch, "logits", union_logits(graph_ds))
+            mp.setattr(tuning._Batch, "representations", union_representations(graph_ds))
             union = {method: fit(method) for method in METHODS}
         for method in METHODS:
             tuner = fit(method)
@@ -576,11 +576,57 @@ class TestGraphBatches:
 
     def test_batch_rows_are_the_graphs_nodes_in_id_order(self, graph_ds):
         offsets = graph_ds.node_union()[1]
-        batch = tuning._Batch(graph_ds, [3, 0, 3])
+        batch = tuning._Batch(graph_ds, [3, 0, 3], GNNModel.create("gin", (2, 8, 8)))
         expected = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in (3, 0, 3)])
         np.testing.assert_array_equal(batch.rows, expected)
         np.testing.assert_array_equal(batch.member, np.repeat([0, 1, 2],
                                                              np.diff(offsets)[[3, 0, 3]]))
+
+
+class TestBatchChain:
+    """A batch builds its chain and read positions once, on first use."""
+
+    def test_read_positions_pick_each_instance_out_of_the_outputs(self, graph_ds, clique_ds):
+        # unsorted and repeated ids: the last block outputs their distinct rows
+        gin, gcn = GNNModel.create("gin", (2, 8, 8)), GNNModel.create("gcn", (4, 8, 8))
+        batches = [tuning._Batch(graph_ds, [3, 0, 3], gin), tuning._Batch(graph_ds, [5, 1], gin),
+                   tuning._Batch(clique_ds, [7, 2, 7, 5], gcn)]
+        for batch in batches:
+            blocks, at = batch.chain
+            assert blocks[-1].outputs.size < batch.graph.num_nodes
+            np.testing.assert_array_equal(blocks[-1].outputs[at], batch.reads)
+            assert batch.chain[0] is blocks
+
+    @pytest.mark.parametrize("method,calls", [("edgeprompt", 6), ("classifier-only", 1)])
+    def test_graph_fit_builds_a_chain_per_batch(self, graph_ds, graph_split, monkeypatch,
+                                                method, calls):
+        # 12 training graphs in batches of 4 for 2 epochs: a chain per batch,
+        # or one over all of them for the probe's frozen inputs, never both
+        built = []
+        blocks = Adjacency.blocks
+
+        def spy(self, rows, layers):
+            built.append(len(rows))
+            return blocks(self, rows, layers)
+
+        monkeypatch.setattr(Adjacency, "blocks", spy)
+        PromptTuner(graph_checkpoint(), method=method, epochs=2, batch_size=4,
+                    seed=0).fit(graph_ds, graph_split)
+        assert len(built) == calls
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_node_fit_builds_one_chain(self, clique_ds, clique_split, monkeypatch, method):
+        built = []
+        blocks = Adjacency.blocks
+
+        def spy(self, rows, layers):
+            built.append(len(rows))
+            return blocks(self, rows, layers)
+
+        monkeypatch.setattr(Adjacency, "blocks", spy)
+        PromptTuner(node_checkpoint(), method=method, epochs=3, anchors=2,
+                    seed=0).fit(clique_ds, clique_split)
+        assert built == [clique_split.train_ids.size]
 
 
 class TestInstanceIds:
