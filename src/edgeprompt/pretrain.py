@@ -84,7 +84,8 @@ def _sample_non_edges(rng, num_nodes: int, present_keys: np.ndarray, count: int)
     if count <= 0:
         return np.zeros((0, 2), dtype=np.int64)
     n = np.int64(num_nodes)
-    taken = np.sort(np.asarray(present_keys, dtype=np.int64))
+    # n^2 exceeds every key, so a key's search position always holds a value
+    taken = np.sort(np.append(np.asarray(present_keys, dtype=np.int64), n * n))
     chosen: list[np.ndarray] = []
     have = 0
     for _ in range(12):
@@ -92,16 +93,13 @@ def _sample_non_edges(rng, num_nodes: int, present_keys: np.ndarray, count: int)
         a = np.minimum(draw[:, 0], draw[:, 1])
         b = np.maximum(draw[:, 0], draw[:, 1])
         keys = a * n + b
-        absent = (np.searchsorted(taken, keys, side="left")
-                  == np.searchsorted(taken, keys, side="right"))
-        keys = unique_sorted(keys[(a != b) & absent])
-        keys = keys[: count - have]
-        if keys.size:
-            chosen.append(keys)
-            have += keys.size
-            taken = np.sort(np.concatenate([taken, keys]))
+        absent = taken[np.searchsorted(taken, keys)] != keys
+        keys = unique_sorted(keys[(a != b) & absent])[: count - have]
+        chosen.append(keys)
+        have += keys.size
         if have == count:
             break
+        taken = np.sort(np.concatenate([taken, keys]))
     if have < count:
         a, b = np.triu_indices(num_nodes, 1)
         pool = np.setdiff1d(a * n + b, taken, assume_unique=True)
@@ -109,7 +107,7 @@ def _sample_non_edges(rng, num_nodes: int, present_keys: np.ndarray, count: int)
         if extra:
             chosen.append(rng.choice(pool, size=extra, replace=False))
             have += extra
-    keys = np.concatenate(chosen) if chosen else np.zeros(0, np.int64)
+    keys = np.concatenate(chosen)
     return np.stack([keys // num_nodes, keys % num_nodes], axis=1)
 
 
@@ -364,8 +362,7 @@ class LinkPredictionPretrainer(_Pretrainer):
 
             def loss_fn():
                 h = model_forward(model, train_graph)
-                scores = T.rowsum(T.mul(T.gather_rows(h, pairs[:, 0]),
-                                        T.gather_rows(h, pairs[:, 1])))
+                scores = T.pair_scores(h, pairs[:, 0], pairs[:, 1])
                 return T.binary_cross_entropy_with_logits(scores, targets)
 
             yield 1, loss_fn

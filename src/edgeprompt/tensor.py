@@ -11,9 +11,9 @@ Everything here is float64 on purpose: the finite-difference oracle in
 :func:`finite_difference_gradient` is the independent check for every
 backward rule, and it only gets tight at double precision.
 
-The edge kernels (:func:`propagate`, :func:`edge_softmax_sum`) run in chunks
-on up to two threads (as CPU affinity allows), bitwise as on one.  Their
-pool is the one piece of process state, made when first needed.
+The edge kernels and owner sums (gather backward, scatter) share one chunker,
+on up to two threads (as CPU affinity allows), bitwise as on one.  Its pool
+is the one piece of process state, made when first needed.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ __all__ = [
     "sum_all",
     "gather_rows",
     "scatter_add_rows",
+    "pair_scores",
     "propagate",
     "edge_softmax",
     "edge_softmax_sum",
@@ -338,21 +339,38 @@ def sum_all(a: Tensor) -> Tensor:
 # indexed ops (the sparse-graph primitives)
 
 
-def _segment_sum(values: np.ndarray, targets: np.ndarray, num_rows: int) -> np.ndarray:
-    """Sum rows of ``values`` into ``out[targets[k]]``."""
-    out = np.zeros((num_rows, values.shape[1]))
-    if values.shape[0] == 0:
-        return out
-    if np.all(targets[1:] >= targets[:-1]):
-        ordered, tgt = values, targets
-    else:
+def _segment_sum(values: np.ndarray, targets: np.ndarray, num_rows: int,
+                 source=None, weights=None) -> np.ndarray:
+    """out[i] = sum in k order of values[source[k]] * weights[k] over the k with
+    targets[k] = i (source[k] = k if not given; ``weights`` need a ``source``),
+    as owner sums over chunks of the stably sorted targets (``_over_chunks``)."""
+    width = values.shape[1]
+    out = np.zeros((num_rows, width))
+    if not np.all(targets[1:] >= targets[:-1]):
         order = np.argsort(targets, kind="stable")
-        ordered, tgt = values[order], targets[order]
-    counts = np.bincount(tgt, minlength=num_rows)
-    nonempty = np.flatnonzero(counts)
-    starts = np.concatenate(([0], np.cumsum(counts)))[nonempty]
-    out[nonempty] = np.add.reduceat(ordered, starts, axis=0)
+        targets, source = targets[order], order if source is None else source[order]
+        weights = None if weights is None else weights[order]
+    starts = np.flatnonzero(np.diff(targets, prepend=-1))
+
+    def chunk(rows, at, lo, hi, buf):
+        part = values[lo:hi]  # sorted targets: nothing moves
+        if source is not None:
+            part = buf[:width * (hi - lo)].reshape(hi - lo, width)
+            np.take(values, source[lo:hi], axis=0, out=part, mode="clip")
+        if weights is not None:
+            part *= weights[lo:hi, None]
+        _owner_sum(out, part, rows, at)
+
+    _over_chunks(targets[starts], starts, targets.size, width, chunk, width * (source is not None))
     return out
+
+
+def _ids(indices, rows: int, what: str) -> np.ndarray:
+    """``indices`` as int64, each in [0, rows), or an IndexError naming ``what``."""
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        raise IndexError(f"{what} {idx[(idx < 0) | (idx >= rows)][0]} out of range [0, {rows})")
+    return idx
 
 
 def scatter_add_rows(messages: Tensor, targets, num_rows: int) -> Tensor:
@@ -364,23 +382,14 @@ def scatter_add_rows(messages: Tensor, targets, num_rows: int) -> Tensor:
     """
     tgt = np.asarray(targets, dtype=np.int64).reshape(-1)
     if tgt.shape[0] != messages.shape[0]:
-        raise ShapeError(
-            f"scatter_add_rows: {tgt.shape[0]} targets for {messages.shape[0]} messages"
-        )
-    if tgt.size and (tgt.min() < 0 or tgt.max() >= num_rows):
-        bad = tgt[(tgt < 0) | (tgt >= num_rows)][0]
-        raise IndexError(f"scatter_add_rows: target {bad} out of range [0, {num_rows})")
-    data = _segment_sum(messages.data, tgt, num_rows)
-    return _emit(data, [(messages, lambda g: g[tgt])])
+        raise ShapeError(f"scatter_add_rows: {tgt.size} targets for {messages.shape[0]} messages")
+    tgt = _ids(tgt, num_rows, "scatter_add_rows: target")
+    return _emit(_segment_sum(messages.data, tgt, num_rows), [(messages, lambda g: g[tgt])])
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:
     """Select rows: out[k] = x[indices[k]].  Backward scatter-adds."""
-    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        bad = idx[(idx < 0) | (idx >= x.shape[0])][0]
-        raise IndexError(f"gather_rows: index {bad} out of range [0, {x.shape[0]})")
-    rows = x.shape[0]
+    idx, rows = _ids(indices, x.shape[0], "gather_rows: index"), x.shape[0]
     return _emit(x.data[idx], [(x, lambda g: _segment_sum(g, idx, rows))])
 
 
@@ -394,34 +403,34 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.clear)
 
 
-def _over_chunks(adj, width: int, kernel, scratch: int) -> None:
-    """Run ``kernel(rows, lo, hi, buffer)`` on chunks of about 2^20 / (8 width)
-    entries [lo, hi) of ``adj``, whole segments of the owners ``adj.rows[rows]``.
+def _over_chunks(rows, starts, size: int, width: int, kernel, scratch: int) -> None:
+    """Run ``kernel(rows, at, lo, hi, buffer)`` on chunks of about 2^20 / (8 width)
+    entries [lo, hi) of ``size``, whole segments of the owners ``rows`` (which
+    begin at entries ``starts``): a chunk's own owners, at ``at`` within it.
     Up to ``_WORKERS`` contiguous runs of chunks write disjoint rows and
     entries: the first here, the rest on the pool, in copies of this context
     (numpy's error state lives there); the first error is raised after all.
     A run's flat ``buffer`` holds ``scratch`` floats per entry of the largest
     chunk, made here so that workers allocate nothing chunk-sized.
     """
-    size = adj.owners.size
     per = max(1, _CHUNK_BYTES // (8 * max(1, width)))
     if not size:
         return
     if size <= per:  # one chunk, inline
-        return kernel(slice(0, adj.rows.size), 0, size, np.empty(scratch * size))
-    ends = np.append(adj.starts, size)
-    bounds = np.unique(np.append(np.searchsorted(adj.starts, np.arange(0, size, per)),
-                                 adj.rows.size))
+        return kernel(rows, starts, 0, size, np.empty(scratch * size))
+    ends = np.append(starts, size)
+    bounds = np.unique(np.append(np.searchsorted(starts, np.arange(0, size, per)), rows.size))
     # numpy sums M x 1 over M pairwise but M x e, e > 1, row by row:
     # fold one-entry chunks into a neighbour
     sizes = np.diff(ends[bounds])
     bounds = bounds[np.concatenate(([True], (sizes[:-1] > 1) & (sizes[1:] > 1), [True]))]
-    chunks = [(slice(a, b), ends[a], ends[b]) for a, b in zip(bounds[:-1], bounds[1:])]
-    cap, n = max(hi - lo for _, lo, hi in chunks), min(_WORKERS, len(chunks))
+    chunks = [(rows[a:b], starts[a:b] - ends[a], ends[a], ends[b])
+              for a, b in zip(bounds[:-1], bounds[1:])]
+    cap, n = max(hi - lo for *_, lo, hi in chunks), min(_WORKERS, len(chunks))
 
     def run(part, buffer):
-        for rows, lo, hi in part:
-            kernel(rows, lo, hi, buffer)
+        for chunk in part:
+            kernel(*chunk, buffer)
 
     if n > 1 and not _pool:
         _pool.append(ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="edgeprompt"))
@@ -436,11 +445,31 @@ def _over_chunks(adj, width: int, kernel, scratch: int) -> None:
         f.result()
 
 
-def _owner_sum(out: np.ndarray, entries: np.ndarray, adj, rows: slice, lo: int) -> None:
-    """out[i] = sum of i's rows of e x D ``entries`` (entries lo.. of ``adj``).
-    ``reduceat`` sums each segment pairwise, in the same order along either
-    axis, so a D x e array may come in transposed."""
-    out[adj.rows[rows]] = np.add.reduceat(entries, adj.starts[rows] - lo, axis=0)
+def _owner_sum(out: np.ndarray, entries: np.ndarray, rows: np.ndarray, at: np.ndarray) -> None:
+    """out[rows] = sums of e x D ``entries``' segments from ``at``.  ``reduceat`` sums a
+    segment pairwise, in the same order along either axis, so D x e may come transposed."""
+    out[rows] = np.add.reduceat(entries, at, axis=0)
+
+
+def pair_scores(h: Tensor, a, b) -> Tensor:
+    """out_k = <h[a_k], h[b_k]> (E x 1): ``rowsum(mul(gather_rows(h, a),
+    gather_rows(h, b)))`` as one node, bitwise, with no E x D array.  Its
+    backward adds the sums of g_k h[b_k] by a and of g_k h[a_k] by b."""
+    n, width = h.shape
+    a, b = _ids(a, n, "pair_scores: index"), _ids(b, n, "pair_scores: index")
+    if a.size != b.size:
+        raise ShapeError(f"pair_scores: {a.size} first rows for {b.size} second rows")
+    x, each, out = np.ascontiguousarray(h.data), np.arange(a.size), np.empty((a.size, 1))
+
+    def chunk(rows, at, lo, hi, buf):
+        u, v = buf[:2 * width * (hi - lo)].reshape(2, hi - lo, width)
+        np.take(x, a[lo:hi], axis=0, out=u, mode="clip")
+        np.take(x, b[lo:hi], axis=0, out=v, mode="clip")
+        np.sum(np.multiply(u, v, out=u), axis=1, out=out[lo:hi, 0])
+
+    _over_chunks(each, each, a.size, 2 * width, chunk, 2 * width)
+    return _emit(out, [(h, lambda g: _segment_sum(x, a, n, b, g[:, 0])
+                        + _segment_sum(x, b, n, a, g[:, 0]))])
 
 
 def propagate(h: Tensor, adj) -> Tensor:
@@ -459,13 +488,13 @@ def propagate(h: Tensor, adj) -> Tensor:
         x, width = np.ascontiguousarray(x), x.shape[1]
         out = np.zeros((op.num_out, width))
 
-        def chunk(rows, lo, hi, buf):
+        def chunk(rows, at, lo, hi, buf):
             entries = buf[:width * (hi - lo)].reshape(hi - lo, width)
             np.take(x, op.targets[lo:hi], axis=0, out=entries, mode="clip")
             entries *= op.coeffs[lo:hi, None]
-            _owner_sum(out, entries, op, rows, lo)
+            _owner_sum(out, entries, rows, at)
 
-        _over_chunks(op, width, chunk, scratch=width)
+        _over_chunks(op.rows, op.starts, op.owners.size, width, chunk, scratch=width)
         return out
 
     return _emit(prop(h.data, adj),
@@ -491,7 +520,7 @@ def _edge_softmax(logits: np.ndarray, adj, slope: float, keep: bool):
     z = np.zeros((adj.num_out, m))
     kept = [np.empty((m, adj.owners.size)) if keep else None for _ in range(2)]
 
-    def chunk(rows, lo, hi, buf):
+    def chunk(rows, at, lo, hi, buf):
         e = hi - lo
         s, gate = buf[:2 * m * e].reshape(2, m, e)
         top = buf[2 * m * e:(2 * m + 1) * e]
@@ -511,9 +540,9 @@ def _edge_softmax(logits: np.ndarray, adj, slope: float, keep: bool):
         if keep:
             kept[0][:, lo:hi], kept[1][:, lo:hi] = s, gate
         s *= adj.coeffs[lo:hi]
-        _owner_sum(z, s.T, adj, rows, lo)
+        _owner_sum(z, s.T, rows, at)
 
-    _over_chunks(adj, m, chunk, scratch=2 * m + 1)
+    _over_chunks(adj.rows, adj.starts, adj.owners.size, m, chunk, scratch=2 * m + 1)
     return z, kept
 
 
@@ -543,7 +572,7 @@ def edge_softmax_sum(logits: Tensor, adj, slope: float) -> Tensor:
         d = np.empty(s.shape)
         da = np.zeros((adj.num_out, m))
 
-        def chunk(rows, lo, hi, buf):
+        def chunk(rows, at, lo, hi, buf):
             dc, dot = buf[:m * (hi - lo)].reshape(m, hi - lo), buf[m * (hi - lo):][:hi - lo]
             np.take(g_t, adj.owners[lo:hi], axis=1, out=dc, mode="clip")
             dc *= adj.coeffs[lo:hi]
@@ -551,9 +580,9 @@ def edge_softmax_sum(logits: Tensor, adj, slope: float) -> Tensor:
             dc *= s[:, lo:hi]
             dc *= gate[:, lo:hi]
             d[:, lo:hi] = dc
-            _owner_sum(da, dc.T, adj, rows, lo)
+            _owner_sum(da, dc.T, rows, at)
 
-        _over_chunks(adj, m, chunk, scratch=m + 1)
+        _over_chunks(adj.rows, adj.starts, adj.owners.size, m, chunk, scratch=m + 1)
         out = np.zeros((adj.num_in, 2 * m))
         out[slice(None) if adj.own is None else adj.own, :m] = da
         for k in range(m):
@@ -616,9 +645,7 @@ def cross_entropy_with_logits(logits: Tensor, labels) -> Tensor:
     n, c = logits.shape
     if y.shape[0] != n:
         raise ShapeError(f"cross_entropy: {y.shape[0]} labels for {n} rows")
-    if y.size and (y.min() < 0 or y.max() >= c):
-        bad = y[(y < 0) | (y >= c)][0]
-        raise IndexError(f"cross_entropy: label {bad} out of range [0, {c})")
+    y = _ids(y, c, "cross_entropy: label")
     z = logits.data
     m = z.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))

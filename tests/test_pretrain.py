@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from edgeprompt.checkpoint import serialize_checkpoint
 from edgeprompt.data import CSBMParams, LabeledDataset, csbm_graph_dataset, csbm_node_dataset
 from edgeprompt.errors import ConfigError, NonFiniteError
-from edgeprompt.graph import Graph
+from edgeprompt.graph import Graph, unique_sorted
 from edgeprompt.pretrain import (
     PRETRAINERS,
     GraphCLPretrainer,
@@ -222,7 +222,63 @@ class TestSimGRACE:
         assert serialize_checkpoint(a) == serialize_checkpoint(b)
 
 
+def _two_search_non_edges(rng, num_nodes, present_keys, count):
+    """The sampler as it was, with a left and a right search per key and a
+    re-sort after every pass: the reference for its draws."""
+    if count <= 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    n = np.int64(num_nodes)
+    taken = np.sort(np.asarray(present_keys, dtype=np.int64))
+    chosen = []
+    have = 0
+    for _ in range(12):
+        draw = rng.integers(0, num_nodes, size=(2 * (count - have) + 8, 2))
+        a = np.minimum(draw[:, 0], draw[:, 1])
+        b = np.maximum(draw[:, 0], draw[:, 1])
+        keys = a * n + b
+        absent = (np.searchsorted(taken, keys, side="left")
+                  == np.searchsorted(taken, keys, side="right"))
+        keys = unique_sorted(keys[(a != b) & absent])
+        keys = keys[: count - have]
+        if keys.size:
+            chosen.append(keys)
+            have += keys.size
+            taken = np.sort(np.concatenate([taken, keys]))
+        if have == count:
+            break
+    if have < count:
+        a, b = np.triu_indices(num_nodes, 1)
+        pool = np.setdiff1d(a * n + b, taken, assume_unique=True)
+        extra = min(count - have, pool.shape[0])
+        if extra:
+            chosen.append(rng.choice(pool, size=extra, replace=False))
+            have += extra
+    keys = np.concatenate(chosen) if chosen else np.zeros(0, np.int64)
+    return np.stack([keys // num_nodes, keys % num_nodes], axis=1)
+
+
 class TestSampleNonEdges:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_draws_as_the_two_search_sampler(self, seed):
+        r = np.random.default_rng(100 + seed)
+        n = 40
+        a, b = np.triu_indices(n, 1)
+        keys = a * n + b
+        cases = [(np.zeros(0, np.int64), 30),  # nothing present
+                 (np.sort(r.choice(keys, 100, replace=False)), 50),
+                 (np.sort(r.choice(keys, 700, replace=False)), 60),  # several passes
+                 (np.setdiff1d(keys, r.choice(keys, 15, replace=False)), 12),  # exhaustive
+                 (np.setdiff1d(keys, r.choice(keys, 5, replace=False)), 9),  # fewer than asked
+                 (keys[:10], 0)]
+        for present, count in cases:
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _sample_non_edges(got_rng, n, present, count)
+            want = _two_search_non_edges(want_rng, n, present, count)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+            # the same RNG calls: both generators are left in the same state
+            assert got_rng.integers(0, 2**62) == want_rng.integers(0, 2**62)
+
     def test_exhaustive_fallback_draws_distinct_absent_pairs(self, monkeypatch):
         # all but 12 of the 435 pairs of 30 nodes are edges, so rejection sampling
         # rarely meets an absent pair and the exhaustive pool supplies the rest

@@ -55,9 +55,20 @@ def many_chunks(monkeypatch):
 
 
 def _chunk_count(adj, width):
-    starts = []
-    T._over_chunks(adj, width, lambda rows, lo, hi, buf: starts.append(lo), 0)
-    return len(starts)
+    return _layout_chunk_count(adj.rows, adj.starts, adj.owners.size, width)
+
+
+def _layout_chunk_count(rows, starts, size, width):
+    los = []
+    T._over_chunks(rows, starts, size, width, lambda rows, at, lo, hi, buf: los.append(lo), 0)
+    return len(los)
+
+
+def _owner_sum_chunk_count(targets, width):
+    """How many chunks the owner sums by ``targets`` take."""
+    t = np.sort(targets)
+    starts = np.flatnonzero(np.diff(t, prepend=-1))
+    return _layout_chunk_count(t[starts], starts, t.size, width)
 
 
 class TestTensorBasics:
@@ -157,6 +168,25 @@ class TestScatterAdd:
             lambda m: T.sum_all(T.mul(T.scatter_add_rows(m, targets, 4), w)),
             msgs, tol=1e-6,
         )
+
+
+class TestPairScores:
+    def test_hand_dot_products(self):
+        h = Tensor([[1.0, 2.0], [3.0, -1.0], [0.5, 4.0]])
+        out = T.pair_scores(h, [0, 1, 2, 1], [1, 1, 0, 2])
+        np.testing.assert_array_equal(out.data, [[1.0], [10.0], [8.5], [-2.5]])
+
+    def test_no_pairs(self):
+        assert T.pair_scores(Tensor(np.ones((3, 2))), [], []).shape == (0, 1)
+
+    @pytest.mark.parametrize("a, b", [([0, 3], [1, 2]), ([0, 1], [-1, 2])])
+    def test_out_of_range_index(self, a, b):
+        with pytest.raises(IndexError, match="pair_scores: index"):
+            T.pair_scores(Tensor(np.ones((3, 2))), a, b)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ShapeError, match="pair_scores"):
+            T.pair_scores(Tensor(np.ones((3, 2))), [0, 1, 2], [1, 2])
 
 
 # node 3 has no entries
@@ -395,6 +425,56 @@ def _chunking_cases():
             for adj in ops]
 
 
+def _owner_sum_cases():
+    """Targets for 12 rows, 3 wide: unsorted, repeated, sorted and unsorted
+    with rows that receive nothing, one run of a single row, and none."""
+    r = np.random.default_rng(12)
+    targets = [r.integers(0, 12, 240), np.repeat(r.permutation(12), 20),
+               np.sort(r.integers(0, 12, 240)), r.choice([0, 3, 4, 9], 240),
+               np.sort(r.choice([1, 2, 10], 240)), np.full(240, 7), np.zeros(0, np.int64)]
+    return [(t, r.uniform(-1, 1, (t.size, 3)), r.uniform(-1, 1, (12, 3)),
+             r.uniform(-1, 1, (t.size, 3))) for t in targets]
+
+
+def _whole_array_segment_sum(values, targets, num_rows):
+    """The owner sum as one ``reduceat`` over the stably sorted rows."""
+    out = np.zeros((num_rows, values.shape[1]))
+    if targets.size:
+        order = np.argsort(targets, kind="stable")
+        tgt = targets[order]
+        starts = np.flatnonzero(np.diff(tgt, prepend=-1))
+        out[tgt[starts]] = np.add.reduceat(values[order], starts, axis=0)
+    return out
+
+
+def _owner_sum_outputs(targets, msgs, x, w):
+    """scatter_add_rows' forward and gather_rows' backward by ``targets``."""
+    (grad,) = grad_of(lambda t: T.sum_all(T.mul(T.gather_rows(t, targets), Tensor(w))), x)
+    return T.scatter_add_rows(Tensor(msgs), targets, 12).data, grad
+
+
+def _pair_cases():
+    """Pairs of 20 rows, 4 wide, a few of them a row with itself."""
+    r = np.random.default_rng(13)
+    a, b = r.integers(0, 20, 300), r.integers(0, 20, 300)
+    b[::7] = a[::7]
+    return a, b, r.uniform(-1, 1, (20, 4)), r.uniform(-1, 1, (300, 1))
+
+
+def _pair_outputs(score, a, b, h, w):
+    """``score``'s E x 1 output and the gradient of <output, w> by h."""
+    t = Tensor(h)
+    with Tape() as tape:
+        tape.watch(t)
+        out = score(t, a, b)
+        grad = tape.backward(T.sum_all(T.mul(out, Tensor(w))))[t]
+    return out.data, grad
+
+
+def _unfused_pair_scores(h, a, b):
+    return T.rowsum(T.mul(T.gather_rows(h, a), T.gather_rows(h, b)))
+
+
 def _child_edge_softmax(send, adj, logits):
     send.send(T.edge_softmax_sum(Tensor(logits), adj, 0.2).data)
 
@@ -423,6 +503,50 @@ class TestChunks:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("budget, workers", [(64, 2), (64, 1), (64, 3), (2000, 2)])
+    def test_owner_sums_bitwise_for_any_chunking(self, monkeypatch, budget, workers):
+        # scatter_add_rows and gather_rows' backward against one inline chunk
+        cases = _owner_sum_cases()
+        want = [_owner_sum_outputs(*case) for case in cases]
+        for (t, msgs, x, w), (fwd, grad) in zip(cases, want):
+            np.testing.assert_array_equal(fwd, _whole_array_segment_sum(msgs, t, 12))
+            np.testing.assert_array_equal(grad, _whole_array_segment_sum(w, t, 12))
+        assert all(_owner_sum_chunk_count(t, 3) <= 1 for t, *_ in cases)
+        monkeypatch.setattr(T, "_CHUNK_BYTES", budget)
+        monkeypatch.setattr(T, "_WORKERS", workers)
+        assert max(_owner_sum_chunk_count(t, 3) for t, *_ in cases) > 2
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for case, ref in zip(cases, want):
+                for got, exp in zip(_owner_sum_outputs(*case), ref):
+                    np.testing.assert_array_equal(got, exp)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("budget, workers", [(64, 2), (64, 1), (64, 3), (2000, 2)])
+    def test_pair_scores_bitwise_the_unfused_chain(self, monkeypatch, budget, workers):
+        a, b, h, w = _pair_cases()
+        want = _pair_outputs(_unfused_pair_scores, a, b, h, w)
+        each = np.arange(a.size)
+
+        def chunks():  # the forward's, and the backward's by a and by b
+            return (_layout_chunk_count(each, each, a.size, 8),
+                    _owner_sum_chunk_count(a, 4), _owner_sum_chunk_count(b, 4))
+
+        assert chunks() == (1, 1, 1)
+        monkeypatch.setattr(T, "_CHUNK_BYTES", budget)
+        monkeypatch.setattr(T, "_WORKERS", workers)
+        assert min(chunks()[1:]) > 2 and (budget < 1000 or chunks()[0] > 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for score in (T.pair_scores, _unfused_pair_scores):
+                for got, exp in zip(_pair_outputs(score, a, b, h, w), want):
+                    np.testing.assert_array_equal(got, exp)
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_wide_op_cases_span_many_chunks(self):
         # criterion 1's chunked cases reach the pool at the default budget
         for adj in (_CROWD.adjacency("gcn"), _crowd_block("gin")):
@@ -435,6 +559,9 @@ class TestChunks:
                 "g = Graph(3, [(0, 1), (1, 2)], np.zeros((3, 1))); "
                 "T.edge_softmax_sum(T.Tensor(np.ones((3, 4))), g.adjacency('gcn'), 0.2); "
                 "T.propagate(T.Tensor(np.ones((3, 2))), g.adjacency('gin')); "
+                "h = T.Tensor(np.ones((3, 2))); t = T.Tape(); t.watch(h); "
+                "t.backward(T.sum_all(T.gather_rows(h, [2, 0, 2]))); "
+                "t.backward(T.sum_all(T.pair_scores(h, g.csr_owners, g.csr_targets))); "
                 "print(T._pool == [], threading.active_count())")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              timeout=60, check=True)
@@ -730,6 +857,18 @@ _OP_CASES = {
         lambda a, w=Tensor(rng.uniform(-1, 1, (4, 2))): T.sum_all(
             T.mul(T.gather_rows(a, [2, 0, 2, 1]), w)),
         [rng.uniform(-1, 1, (3, 2))],
+    ),
+    # pairs (2, 2) and (3, 3) score a row with itself
+    "pair_scores": lambda rng: (
+        lambda a, w=Tensor(rng.uniform(-1, 1, (5, 1))): T.sum_all(
+            T.mul(T.pair_scores(a, [0, 2, 1, 3, 2], [1, 2, 3, 3, 0]), w)),
+        [rng.uniform(-1, 1, (4, 3))],
+    ),
+    # chunks of 16 pairs forward and 32 backward at the default budget, on the pool
+    "pair_scores_chunked": lambda rng, pairs=np.random.default_rng(14).integers(0, 30, (2, 100)): (
+        lambda a, w=Tensor(rng.uniform(-1, 1, (100, 1))): T.sum_all(
+            T.mul(T.pair_scores(T.matmul(a, Tensor(_WIDE)), *pairs), w)),
+        [rng.uniform(0.5, 1, (30, 1))],
     ),
     "scatter_add_rows": lambda rng: (
         lambda a, w=Tensor(rng.uniform(-1, 1, (4, 2))): T.sum_all(
