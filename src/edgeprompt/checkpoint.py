@@ -18,31 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .base import atomic_write
-from .errors import CompatibilityError, FormatError, ShapeError
-from .models import GCN, GIN, GNNModel
+from .errors import CompatibilityError, ConfigError, FormatError, ShapeError
+from .models import GNNModel, check_arrays
 
 CHECKPOINT_MAGIC = b"EPCKPT1\x00"
 PROMPT_MAGIC = b"EPPRMT1\x00"
 VERSION = 1  # the header version of both artifact kinds
-
-
-def expected_parameter_shapes(kind: str, dims) -> dict[str, tuple[int, int]]:
-    """Tensor name -> shape map a model of this kind/dims must provide."""
-    dims = [int(d) for d in dims]
-    shapes: dict[str, tuple[int, int]] = {}
-    for l in range(len(dims) - 1):
-        d_in, d_out = dims[l], dims[l + 1]
-        if kind == GCN:
-            shapes[f"layers.{l}.weight"] = (d_in, d_out)
-            shapes[f"layers.{l}.bias"] = (1, d_out)
-        elif kind == GIN:
-            shapes[f"layers.{l}.mlp.0.weight"] = (d_in, d_out)
-            shapes[f"layers.{l}.mlp.0.bias"] = (1, d_out)
-            shapes[f"layers.{l}.mlp.1.weight"] = (d_out, d_out)
-            shapes[f"layers.{l}.mlp.1.bias"] = (1, d_out)
-        else:
-            raise FormatError(f"unknown model kind {kind!r}")
-    return shapes
 
 
 @dataclass
@@ -162,18 +143,11 @@ def load_checkpoint(path) -> Checkpoint:
     if not isinstance(strategy, str) or not _is_int(seed, 0):
         raise FormatError(f"{path}: strategy {strategy!r} is not a string "
                           f"or seed {seed!r} not a non-negative int")
-    expected = expected_parameter_shapes(kind, dims)
-    if set(expected) != set(tensors):
-        diff = sorted(set(expected) ^ set(tensors))
-        raise FormatError(
-            f"{path}: tensor names do not match a {kind} model with dims {dims}: {diff}"
-        )
-    for name, shape in expected.items():
-        if tensors[name].shape != shape:
-            raise FormatError(
-                f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
-                f"expected {shape}"
-            )
+    try:
+        names = check_arrays(kind, dims, tensors)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    for name in names:
         if not np.isfinite(tensors[name]).all():
             raise FormatError(f"{path}: tensor {name!r} contains NaN or Inf")
     return Checkpoint(
@@ -200,9 +174,7 @@ def checkpoint_from_model(model: GNNModel, strategy: str, seed: int,
 
 def build_model(ckpt: Checkpoint) -> GNNModel:
     """Materialize the frozen backbone a checkpoint describes."""
-    model = GNNModel.create(ckpt.model_kind, ckpt.dims, seed=0)
-    model.load_state_arrays(ckpt.tensors)
-    return model
+    return GNNModel.from_arrays(ckpt.model_kind, ckpt.dims, ckpt.tensors)
 
 
 @dataclass

@@ -317,19 +317,11 @@ def csbm_generate(params: CSBMParams, seed: int) -> tuple[Graph, np.ndarray]:
     """
     rng = seeded_rng(seed, 0xC5B3)
     n = params.n_per_class
-    blocks = []
     intra1 = _block_pairs(rng, n, n, params.p, triangular=True)
-    if intra1.size:
-        blocks.append(intra1)
     intra2 = _block_pairs(rng, n, n, params.p, triangular=True)
-    if intra2.size:
-        blocks.append(intra2 + n)
     cross = _block_pairs(rng, n, n, params.q, triangular=False)
-    if cross.size:
-        cross = cross.copy()
-        cross[:, 1] += n
-        blocks.append(cross)
-    edges = np.concatenate(blocks) if blocks else np.zeros((0, 2), np.int64)
+    # each block is (pairs, 2) int64, empty ones included
+    edges = np.concatenate([intra1, intra2 + n, cross + (0, n)])
     dim = params.mu1.shape[0]
     feats = np.empty((2 * n, dim))
     feats[:n] = rng.normal(size=(n, dim)) + params.mu1

@@ -1,5 +1,11 @@
 """GCN and GIN backbones with a node- and an edge-prompt injection point.
 
+A layer is one map of its aggregate: ``layer_forward`` adds Â h, the
+self term and the prompt term, and the layer maps the sum (a GCN layer
+affinely, then ReLU; a GIN-0 layer by its MLP).  ``parameter_shapes`` is
+the one table of a backbone's tensor names and shapes, in draw order:
+models are drawn, named and rebuilt, and checkpoints checked, from it.
+
 Node prompts add to the input features.  Edge prompts enter aggregation
 as ``c_ij (h_j + e_ij)`` per directed entry (i <- j), computed as sum_j
 c_ij (h_j + e_ij) = (Â h)_i + sum_j c_ij e_ij: one ``propagate`` plus an
@@ -28,84 +34,99 @@ def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
     return Tensor(rng.uniform(-bound, bound, size=(rows, cols)))
 
 
+def _tables(kind: str, dims) -> list[list[tuple[str, str, tuple[int, int]]]]:
+    """Each layer's tensors in draw order: (layer attribute, name, shape)."""
+    if kind not in (GCN, GIN):
+        raise ConfigError(f"unknown model kind {kind!r}")
+    dims = tuple(int(d) for d in dims)
+    if len(dims) < 2 or min(dims) < 1:
+        raise ConfigError(f"a model needs two or more layer widths, each >= 1, got {dims}")
+    return [[("weight", f"layers.{l}.weight", (i, o)), ("bias", f"layers.{l}.bias", (1, o))]
+            if kind == GCN else
+            [("w1", f"layers.{l}.mlp.0.weight", (i, o)), ("b1", f"layers.{l}.mlp.0.bias", (1, o)),
+             ("w2", f"layers.{l}.mlp.1.weight", (o, o)), ("b2", f"layers.{l}.mlp.1.bias", (1, o))]
+            for l, (i, o) in enumerate(zip(dims, dims[1:]))]
+
+
+def parameter_shapes(kind: str, dims) -> dict[str, tuple[int, int]]:
+    """Tensor name -> shape of a ``kind`` model of layer widths ``dims``, in draw order."""
+    return {name: shape for table in _tables(kind, dims) for _, name, shape in table}
+
+
+def check_arrays(kind: str, dims, arrays: dict) -> dict[str, tuple[int, int]]:
+    """``parameter_shapes(kind, dims)``, once ``arrays`` hold exactly its
+    tensors, each of its shape; else a ConfigError that names the first not."""
+    shapes = parameter_shapes(kind, dims)
+    if set(shapes) != set(arrays):
+        raise ConfigError(f"tensor names do not match a {kind} model with dims "
+                          f"{tuple(dims)}: {sorted(set(shapes) ^ set(arrays))}")
+    for name, shape in shapes.items():
+        if np.shape(arrays[name]) != shape:
+            raise ConfigError(f"tensor {name!r} has shape {np.shape(arrays[name])}, "
+                              f"expected {shape}")
+    return shapes
+
+
+def _draw(rng, shapes: dict[str, tuple[int, int]]) -> list[Tensor]:
+    """Glorot-uniform weights, in order, and zero biases (no draw)."""
+    return [Tensor.zeros(*shape) if name.endswith("bias") else glorot_uniform(rng, *shape)
+            for name, shape in shapes.items()]
+
+
 class GCNLayer:
-    """Symmetric-normalized graph convolution: aggregate, transform, ReLU."""
+    """Symmetric-normalized graph convolution, after aggregation: an affine
+    map, then ReLU if ``activation``."""
 
     def __init__(self, weight: Tensor, bias: Tensor, activation: bool):
         self.weight = weight
         self.bias = bias
         self.activation = activation
 
-    @classmethod
-    def create(cls, rng, d_in: int, d_out: int, activation: bool) -> "GCNLayer":
-        return cls(glorot_uniform(rng, d_in, d_out), Tensor.zeros(1, d_out), activation)
-
-    def parameters(self):
-        return [("weight", self.weight), ("bias", self.bias)]
+    def __call__(self, agg: Tensor) -> Tensor:
+        out = T.add_row(T.matmul(agg, self.weight), self.bias)
+        return T.relu(out) if self.activation else out
 
 
 class MLP:
-    """Two affine maps with a ReLU between: relu(x W1 + b1) W2 + b2."""
+    """Two affine maps with a ReLU between: relu(x W1 + b1) W2 + b2.  A GIN-0
+    layer (Xu et al., 2019; epsilon fixed at 0) is the MLP of its aggregate."""
 
     def __init__(self, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
         self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
 
     @classmethod
     def create(cls, rng, d_in: int, d_out: int) -> "MLP":
-        return cls(glorot_uniform(rng, d_in, d_out), Tensor.zeros(1, d_out),
-                   glorot_uniform(rng, d_out, d_out), Tensor.zeros(1, d_out))
-
-    def parameters(self):
-        return [("0.weight", self.w1), ("0.bias", self.b1),
-                ("1.weight", self.w2), ("1.bias", self.b2)]
+        return cls(*_draw(rng, parameter_shapes(GIN, (d_in, d_out))))
 
     def __call__(self, x: Tensor) -> Tensor:
         hidden = T.relu(T.add_row(T.matmul(x, self.w1), self.b1))
         return T.add_row(T.matmul(hidden, self.w2), self.b2)
 
 
-class GINLayer:
-    """GIN-0 (Xu et al., 2019): the MLP of the sum over the neighbours and
-    the node itself, with epsilon fixed at 0."""
-
-    def __init__(self, mlp: MLP):
-        self.mlp = mlp
-
-    @classmethod
-    def create(cls, rng, d_in: int, d_out: int) -> "GINLayer":
-        return cls(MLP.create(rng, d_in, d_out))
-
-    def parameters(self):
-        return [(f"mlp.{name}", t) for name, t in self.mlp.parameters()]
-
-
 class GNNModel:
-    """An ordered stack of GCN or GIN layers with declared widths."""
+    """An ordered stack of GCN or GIN layers with declared widths, built
+    from ``tensors`` in ``parameter_shapes`` order."""
 
-    def __init__(self, kind: str, layers: list, dims: tuple[int, ...]):
-        if kind not in (GCN, GIN):
-            raise ConfigError(f"unknown model kind {kind!r}")
-        if len(layers) < 1 or len(dims) != len(layers) + 1:
-            raise ConfigError(
-                f"{len(layers)} layers need {len(layers) + 1} dims, got {len(dims)}"
-            )
+    def __init__(self, kind: str, dims, tensors: list[Tensor]):
+        tables, tensors = _tables(kind, dims), iter(tensors)
         self.kind = kind
-        self.layers = layers
         self.dims = tuple(int(d) for d in dims)
+        self.layers = []
+        for l, table in enumerate(tables):
+            own = {attr: next(tensors) for attr, _, _ in table}
+            self.layers.append(GCNLayer(**own, activation=l < len(tables) - 1)
+                               if kind == GCN else MLP(**own))
 
     @classmethod
     def create(cls, kind: str, dims, seed: int = 0) -> "GNNModel":
-        """Fresh model with Glorot-uniform weights drawn from ``seed``."""
-        dims = tuple(int(d) for d in dims)
-        if min(dims, default=0) < 1:
-            raise ConfigError(f"layer widths must be >= 1, got {dims}")
-        rng = seeded_rng(seed, 0x6E4E)
-        last = len(dims) - 2
-        # __init__ rejects an unknown kind
-        layers = [GCNLayer.create(rng, dims[l], dims[l + 1], activation=l < last)
-                  if kind == GCN else GINLayer.create(rng, dims[l], dims[l + 1])
-                  for l in range(len(dims) - 1)]
-        return cls(kind, layers, dims)
+        """Fresh model: Glorot-uniform weights drawn from ``seed``, zero biases."""
+        return cls(kind, dims, _draw(seeded_rng(seed, 0x6E4E), parameter_shapes(kind, dims)))
+
+    @classmethod
+    def from_arrays(cls, kind: str, dims, arrays: dict[str, np.ndarray]) -> "GNNModel":
+        """The model holding copies of ``arrays`` (see ``check_arrays``)."""
+        return cls(kind, dims, [Tensor(np.array(arrays[name], dtype=np.float64))
+                                for name in check_arrays(kind, dims, arrays)])
 
     @property
     def num_layers(self) -> int:
@@ -120,11 +141,9 @@ class GNNModel:
         return self.dims[-1]
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for l, layer in enumerate(self.layers):
-            for name, t in layer.parameters():
-                out.append((f"layers.{l}.{name}", t))
-        return out
+        return [(name, getattr(layer, attr))
+                for layer, table in zip(self.layers, _tables(self.kind, self.dims))
+                for attr, name, _ in table]
 
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
@@ -132,49 +151,23 @@ class GNNModel:
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.named_parameters()}
 
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        named = dict(self.named_parameters())
-        if set(named) != set(arrays):
-            missing = sorted(set(named) ^ set(arrays))
-            raise ConfigError(f"parameter names do not match model: {missing}")
-        for name, t in named.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise ShapeError(
-                    f"{name}: stored shape {arr.shape} vs model {t.data.shape}"
-                )
-            t.data = arr.copy()
-
     def copy(self) -> "GNNModel":
-        clone = GNNModel.create(self.kind, self.dims, seed=0)
-        clone.load_state_arrays(self.state_arrays())
-        return clone
+        return GNNModel.from_arrays(self.kind, self.dims, self.state_arrays())
 
 
-def _own_rows(h: Tensor, adj: Adjacency) -> Tensor:
-    """The output rows' own input rows: what a layer's self term reads."""
-    return h if adj.own is None else T.gather_rows(h, adj.own)
-
-
-def gcn_layer_forward(layer: GCNLayer, h: Tensor, adj: Adjacency,
-                      prompt_term: Tensor | None = None) -> Tensor:
-    """One GCN layer: Â h plus the self-loop term and the prompt term."""
-    agg = T.add(T.propagate(h, adj), T.scale_rows(_own_rows(h, adj), adj.self_coeffs))
+def layer_forward(layer: GCNLayer | MLP, h: Tensor, adj: Adjacency,
+                  prompt_term: Tensor | None = None) -> Tensor:
+    """One GCN or GIN layer: ``layer`` of Â h plus the self term (the output
+    rows' own input rows, scaled by ``adj.self_coeffs`` if it has them) plus
+    the prompt term."""
+    agg = T.propagate(h, adj)
+    own = h if adj.own is None else T.gather_rows(h, adj.own)
+    if adj.self_coeffs is not None:
+        own = T.scale_rows(own, adj.self_coeffs)
+    agg = T.add(agg, own)
     if prompt_term is not None:
         agg = T.add(agg, prompt_term)
-    out = T.add_row(T.matmul(agg, layer.weight), layer.bias)
-    if layer.activation:
-        out = T.relu(out)
-    return out
-
-
-def gin_layer_forward(layer: GINLayer, h: Tensor, adj: Adjacency,
-                      prompt_term: Tensor | None = None) -> Tensor:
-    """One GIN layer: the MLP of A h + h plus the prompt term."""
-    agg = T.add(T.propagate(h, adj), _own_rows(h, adj))
-    if prompt_term is not None:
-        agg = T.add(agg, prompt_term)
-    return layer.mlp(agg)
+    return layer(agg)
 
 
 def model_forward(model: GNNModel, g: Graph, prompts=None,
@@ -200,7 +193,6 @@ def model_forward(model: GNNModel, g: Graph, prompts=None,
         raise ShapeError(
             f"prompts have {len(prompts.anchors)} layers, model has {model.num_layers}"
         )
-    layer_forward = gcn_layer_forward if model.kind == GCN else gin_layer_forward
     for l, (layer, adj) in enumerate(zip(model.layers, blocks, strict=True)):
         term = None if prompts is None else prompts.aggregate(h, adj, l)
         h = layer_forward(layer, h, adj, term)

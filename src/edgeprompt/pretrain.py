@@ -240,7 +240,7 @@ class _ContrastivePretrainer(_Pretrainer):
                 if len(batch) >= 2:
                     yield len(batch), loss_of(self._graph_views(model, batch, rng))
 
-        return [t for _, t in proj.parameters()], {}, batches
+        return [proj.w1, proj.b1, proj.w2, proj.b2], {}, batches
 
     def _embed(self, model, union, offsets):
         """Mean readouts of the graphs of a ``disjoint_union``."""

@@ -45,6 +45,7 @@ __all__ = [
     "rowsum",
     "sum_all",
     "gather_rows",
+    "slice_rows",
     "scatter_add_rows",
     "pair_scores",
     "propagate",
@@ -343,17 +344,25 @@ def _segment_sum(values: np.ndarray, targets: np.ndarray, num_rows: int,
                  source=None, weights=None) -> np.ndarray:
     """out[i] = sum in k order of values[source[k]] * weights[k] over the k with
     targets[k] = i (source[k] = k if not given; ``weights`` need a ``source``),
-    as owner sums over chunks of the stably sorted targets (``_over_chunks``)."""
-    width = values.shape[1]
-    out = np.zeros((num_rows, width))
+    as ``_gather_sum`` over the segments of the stably sorted targets."""
     if not np.all(targets[1:] >= targets[:-1]):
         order = np.argsort(targets, kind="stable")
         targets, source = targets[order], order if source is None else source[order]
         weights = None if weights is None else weights[order]
     starts = np.flatnonzero(np.diff(targets, prepend=-1))
+    return _gather_sum(values, targets[starts], starts, targets.size, num_rows, source, weights)
+
+
+def _gather_sum(values: np.ndarray, rows, starts, size: int, num_rows: int,
+                source=None, weights=None) -> np.ndarray:
+    """out[rows[s]] = sum in k order of values[source[k]] * weights[k] over the
+    entries k of segment s (from ``starts[s]``, ``size`` in all): the
+    gather-scale-owner-sum kernel, over ``_over_chunks``."""
+    width = values.shape[1]
+    out = np.zeros((num_rows, width))
 
     def chunk(rows, at, lo, hi, buf):
-        part = values[lo:hi]  # sorted targets: nothing moves
+        part = values[lo:hi]  # no source: nothing moves
         if source is not None:
             part = buf[:width * (hi - lo)].reshape(hi - lo, width)
             np.take(values, source[lo:hi], axis=0, out=part, mode="clip")
@@ -361,7 +370,7 @@ def _segment_sum(values: np.ndarray, targets: np.ndarray, num_rows: int,
             part *= weights[lo:hi, None]
         _owner_sum(out, part, rows, at)
 
-    _over_chunks(targets[starts], starts, targets.size, width, chunk, width * (source is not None))
+    _over_chunks(rows, starts, size, width, chunk, width * (source is not None))
     return out
 
 
@@ -478,24 +487,15 @@ def propagate(h: Tensor, adj) -> Tensor:
 
     Its backward propagates the output gradient over the transposed
     operator; a square one is symmetric (c_ij = c_ji), its own transpose.
-    Both gather, scale and sum chunks of e entries (``_over_chunks``) in
-    e x D buffers, so no E x D array exists.
+    Both are ``_gather_sum`` over its layout: chunks of e entries gathered,
+    scaled and summed in e x D buffers, so no E x D array exists.
     """
     if h.shape[0] != adj.num_in:
         raise ShapeError(f"propagate: {h.shape[0]} rows for {adj.num_in} input rows")
 
     def prop(x, op):
-        x, width = np.ascontiguousarray(x), x.shape[1]
-        out = np.zeros((op.num_out, width))
-
-        def chunk(rows, at, lo, hi, buf):
-            entries = buf[:width * (hi - lo)].reshape(hi - lo, width)
-            np.take(x, op.targets[lo:hi], axis=0, out=entries, mode="clip")
-            entries *= op.coeffs[lo:hi, None]
-            _owner_sum(out, entries, rows, at)
-
-        _over_chunks(op.rows, op.starts, op.owners.size, width, chunk, scratch=width)
-        return out
+        return _gather_sum(np.ascontiguousarray(x), op.rows, op.starts, op.owners.size,
+                           op.num_out, op.targets, op.coeffs)
 
     return _emit(prop(h.data, adj),
                  [(h, lambda g: prop(g, adj if adj.own is None else adj.transpose))])

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -19,7 +20,7 @@ from edgeprompt.checkpoint import (
     serialize_prompts,
 )
 from edgeprompt.errors import CompatibilityError, FormatError
-from edgeprompt.models import GNNModel
+from edgeprompt.models import GNNModel, parameter_shapes
 
 
 def make_checkpoint(kind="gcn", dims=(3, 4, 2), seed=5):
@@ -63,6 +64,24 @@ class TestCheckpointRoundTrip:
         assert a.digest() != make_checkpoint(seed=10).digest()
 
 
+@pytest.mark.parametrize("kind, digests", [
+    ("gcn", ("34fe2fe8920c2b40", "e234fa713fea9a28")),
+    ("gin", ("3fd81c2b4a07ad44", "e8bea4c4aa0627f7")),
+])
+def test_initial_weights_are_pinned(kind, digests):
+    # the draw order of GNNModel.create, as bytes: a change here changes every checkpoint
+    for seed, digest in zip((0, 5), digests):
+        model = GNNModel.create(kind, (3, 4, 4), seed=seed)
+        assert checkpoint_from_model(model, strategy="init", seed=seed).digest()[:16] == digest
+
+
+@pytest.mark.parametrize("kind", ["gcn", "gin"])
+@pytest.mark.parametrize("dims", [(3, 5), (3, 5, 2), (2, 4, 4, 6)])
+def test_parameter_shapes_are_the_models_tensors(kind, dims):
+    named = GNNModel.create(kind, dims, seed=1).named_parameters()
+    assert list(parameter_shapes(kind, dims).items()) == [(n, t.shape) for n, t in named]
+
+
 class TestCheckpointValidation:
     def test_truncated_file_is_format_error(self, tmp_path):
         ckpt = make_checkpoint()
@@ -99,6 +118,19 @@ class TestCheckpointValidation:
         path = tmp_path / "ck.bin"
         save_checkpoint(ckpt, path)
         with pytest.raises(FormatError, match=r"'layers\.1\.weight' contains NaN or Inf"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("change", ["drop", "reshape"])
+    def test_gin_tensor_missing_or_reshaped_rejected_by_name(self, tmp_path, change):
+        ckpt = make_checkpoint(kind="gin", dims=(3, 4, 4))
+        name = "layers.1.mlp.1.bias"
+        if change == "drop":
+            del ckpt.tensors[name]
+        else:
+            ckpt.tensors[name] = ckpt.tensors[name].reshape(2, 2)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(ckpt, path)
+        with pytest.raises(FormatError, match=re.escape(name)):
             load_checkpoint(path)
 
     def test_build_model_reproduces_tensors(self):

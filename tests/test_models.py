@@ -7,12 +7,11 @@ import edgeprompt.tensor as T
 from edgeprompt.errors import ConfigError, ShapeError
 from edgeprompt.graph import Graph
 from edgeprompt.models import (
-    GINLayer,
+    MLP,
     GNNModel,
     LinearHead,
     classifier_forward,
-    gcn_layer_forward,
-    gin_layer_forward,
+    layer_forward,
     model_forward,
     readout,
 )
@@ -59,9 +58,9 @@ class TestGCNLayer:
         model = GNNModel.create("gcn", (3, 4), seed=0)
         adj = g.adjacency("gcn")
         h = Tensor(g.features)
-        plain = gcn_layer_forward(model.layers[0], h, adj)
+        plain = layer_forward(model.layers[0], h, adj)
         zeros = prompt_term(np.zeros((g.num_directed_edges, 3)), adj)
-        prompted = gcn_layer_forward(model.layers[0], h, adj, zeros)
+        prompted = layer_forward(model.layers[0], h, adj, zeros)
         np.testing.assert_array_equal(plain.data, prompted.data)
 
     def test_two_node_hand_computation(self):
@@ -75,7 +74,7 @@ class TestGCNLayer:
         layer.activation = False
         adj = g.adjacency("gcn")
         prompts = prompt_term(np.ones((2, 2)), adj)
-        out = gcn_layer_forward(layer, Tensor(g.features), adj, prompts)
+        out = layer_forward(layer, Tensor(g.features), adj, prompts)
         expected0 = 0.5 * g.features[0] + 0.5 * (g.features[1] + 1.0)
         expected1 = 0.5 * g.features[1] + 0.5 * (g.features[0] + 1.0)
         np.testing.assert_allclose(out.data, [expected0, expected1], atol=1e-15)
@@ -85,8 +84,8 @@ class TestGCNLayer:
         model = GNNModel.create("gcn", (2, 2), seed=0)
         adj = g.adjacency("gcn")
         with pytest.raises(ShapeError):
-            gcn_layer_forward(model.layers[0], Tensor(g.features), adj,
-                              Tensor(np.zeros((g.num_nodes + 1, 2))))
+            layer_forward(model.layers[0], Tensor(g.features), adj,
+                          Tensor(np.zeros((g.num_nodes + 1, 2))))
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
     @settings(max_examples=30, deadline=None)
@@ -100,8 +99,7 @@ class TestGCNLayer:
         layer = model.layers[0]
         layer.weight, layer.bias, layer.activation = Tensor(w), Tensor(b), True
         adj = g.adjacency("gcn")
-        out = gcn_layer_forward(layer, Tensor(g.features), adj,
-                                prompt_term(prompts, adj))
+        out = layer_forward(layer, Tensor(g.features), adj, prompt_term(prompts, adj))
         ref = dense_gcn_reference(g, g.features, w, b, prompts, activation=True)
         np.testing.assert_allclose(out.data, ref, atol=1e-12)
 
@@ -110,8 +108,8 @@ class TestGINLayer:
     def test_isolated_node_is_mlp_of_features(self):
         g = Graph(1, [], np.array([[0.3, -0.7]]))
         model = GNNModel.create("gin", (2, 3), seed=1)
-        out = gin_layer_forward(model.layers[0], Tensor(g.features), g.adjacency("gin"))
-        expected = model.layers[0].mlp(Tensor(g.features)).data
+        out = layer_forward(model.layers[0], Tensor(g.features), g.adjacency("gin"))
+        expected = model.layers[0](Tensor(g.features)).data
         np.testing.assert_allclose(out.data, expected, atol=1e-15)
 
     def test_shared_prompt_adds_degree_times_prompt(self, rng):
@@ -145,12 +143,11 @@ class TestGINLayer:
         r = np.random.default_rng(seed)
         g = random_graph(r, n, feature_dim=2)
         prompts = r.uniform(-1, 1, (g.num_directed_edges, 2))
-        layer = GINLayer.create(r, 2, 3)
+        layer = MLP.create(r, 2, 3)
         adj = g.adjacency("gin")
-        out = gin_layer_forward(layer, Tensor(g.features), adj,
-                                prompt_term(prompts, adj))
+        out = layer_forward(layer, Tensor(g.features), adj, prompt_term(prompts, adj))
         ref = dense_gin_aggregate_reference(g, g.features, prompts)
-        np.testing.assert_allclose(out.data, layer.mlp(Tensor(ref)).data, atol=1e-12)
+        np.testing.assert_allclose(out.data, layer(Tensor(ref)).data, atol=1e-12)
 
 
 @pytest.mark.parametrize("dims", [(3, 0), (3, -3), (0, 2), (3, 4, 0)])
@@ -166,8 +163,7 @@ class TestModelForward:
         g = random_connected_graph(rng, 5, feature_dim=3)
         model = GNNModel.create("gcn", (3, 4), seed=2)
         via_model = model_forward(model, g)
-        direct = gcn_layer_forward(model.layers[0], Tensor(g.features),
-                                   g.adjacency("gcn"))
+        direct = layer_forward(model.layers[0], Tensor(g.features), g.adjacency("gcn"))
         np.testing.assert_array_equal(via_model.data, direct.data)
 
     def test_deterministic(self, rng):
@@ -206,7 +202,7 @@ class TestModelForward:
                 hg = Tensor(feats)
                 for layer in gin.layers:
                     agg = dense_gin_aggregate_reference(g, hg.data)
-                    hg = layer.mlp(Tensor(agg))
+                    hg = layer(Tensor(agg))
                 np.testing.assert_allclose(out_gin.data, hg.data, atol=1e-10)
 
     def test_bundle_layer_count_checked(self, rng):

@@ -1,6 +1,7 @@
 import multiprocessing
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -970,3 +971,9 @@ def test_composite_expression_gradient(seed):
 
     for ad, fd in zip(grad_of(build, a, b, v), fd_of(build, a, b, v)):
         assert rel_err(ad, fd) < 1e-5
+
+
+def test_all_lists_every_public_function_and_class():
+    defined = {name for name, obj in vars(T).items() if not name.startswith("_")
+               and isinstance(obj, type | types.FunctionType) and obj.__module__ == T.__name__}
+    assert sorted(T.__all__) == sorted(defined)

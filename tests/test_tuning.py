@@ -162,6 +162,12 @@ class TestNodeTuning:
             PromptTuner(node_checkpoint(feature_dim=7), epochs=1).fit(
                 clique_ds, clique_split)
 
+    def test_checkpoint_tensor_of_wrong_shape_rejected(self, clique_ds, clique_split):
+        ckpt = node_checkpoint()
+        ckpt.tensors["layers.1.bias"] = np.zeros((1, 9))
+        with pytest.raises(ConfigError, match=r"'layers\.1\.bias' has shape \(1, 9\)"):
+            PromptTuner(ckpt, epochs=1).fit(clique_ds, clique_split)
+
     @pytest.mark.parametrize("bad", [-1, 10])
     def test_train_ids_outside_the_dataset_rejected(self, clique_ds, bad):
         # a negative id would otherwise wrap to the last node
